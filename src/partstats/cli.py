@@ -11,7 +11,7 @@ import sys
 
 from . import asymptotics, recursions, shifted_bell, statistics
 from .exactnum import bell, bell_mod_table
-from .partitions import PartitionError, enumerate_partitions, parse_partition
+from .partitions import PartitionError, crossing_count, enumerate_partitions, parse_partition
 from .statistics import StatisticError
 
 BRUTE_GUARD = 14
@@ -23,17 +23,24 @@ class CliError(Exception):
 
 def _write(args, text: str) -> None:
     if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        _write_file(args.out, text)
     else:
         sys.stdout.write(text)
+
+
+def _write_file(path: str, text: str) -> None:
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise CliError("cannot write output: %s" % e)
 
 
 def _load_statistic(path: str) -> statistics.Statistic:
     try:
         with open(path) as fh:
             text = fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise CliError("cannot read pattern file: %s" % e)
     try:
         return statistics.parse_pattern(text)
@@ -81,13 +88,7 @@ def _brute_dim_distribution(n: int) -> dict:
 def _brute_int_distribution(n: int) -> dict:
     hist: dict = {}
     for lam in enumerate_partitions(n):
-        arcs = lam.arcs()
-        v = sum(
-            1
-            for e1, f1 in arcs
-            for e2, f2 in arcs
-            if e1 < e2 < f1 < f2
-        )
+        v = crossing_count(lam.arcs())
         hist[v] = hist.get(v, 0) + 1
     return hist
 
@@ -240,8 +241,7 @@ def _cmd_plot(args) -> None:
         title="distribution: %s" % args.input,
         png=args.input.rsplit(".", 1)[0] + ".png",
     )
-    with open(args.out, "w") as fh:
-        fh.write(script)
+    _write_file(args.out, script)
 
 
 # ---------------------------------------------------------------------------

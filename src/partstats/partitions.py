@@ -63,23 +63,6 @@ class SetPartition:
             last_seen[cls_id] = x
         return out
 
-    def firsts(self) -> set:
-        """Block minima."""
-        seen: set = set()
-        out = set()
-        for pos, cls_id in enumerate(self.rgs):
-            if cls_id not in seen:
-                seen.add(cls_id)
-                out.add(pos + 1)
-        return out
-
-    def lasts(self) -> set:
-        """Block maxima."""
-        last_seen: dict = {}
-        for pos, cls_id in enumerate(self.rgs):
-            last_seen[cls_id] = pos + 1
-        return set(last_seen.values())
-
     def same_block(self, i: int, j: int) -> bool:
         return self.rgs[i - 1] == self.rgs[j - 1]
 
@@ -107,8 +90,9 @@ def block_extrema(lam: SetPartition):
     return set(mins), set(maxes), mins, maxes
 
 
-def arcs(lam: SetPartition) -> list:
-    return lam.arcs()
+def crossing_count(arcs: list) -> int:
+    """Pairs of arcs (e1, f1), (e2, f2) with e1 < e2 < f1 < f2."""
+    return sum(1 for e1, f1 in arcs for e2, f2 in arcs if e1 < e2 < f1 < f2)
 
 
 def from_blocks(blocks: Iterable[Iterable[int]]) -> SetPartition:
@@ -194,26 +178,32 @@ def marked_enumerate(n: int) -> Iterator[MarkedSetPartition]:
 
 def parse_partition(text: str) -> SetPartition:
     """Parse either block notation (``1356|27|4`` or ``1,3,5,6|2,7|4``)
-    or a comma-separated RGS (``0,1,0,1,2,0,0``)."""
+    or a comma-separated RGS (``0,1,0,1,2,0,0``).
+
+    Block notation lists each block's elements digit by digit unless the
+    text has a comma or more than nine digits; then every block is a comma
+    list.  ``str(SetPartition)`` writes commas for n > 9, where a partition
+    into singletons has none but more than nine digits, and one block has
+    no ``|``.
+    """
     text = text.strip()
     if text == "":
         return SetPartition(())
     if "|" not in text:
         parts = [p.strip() for p in text.split(",")]
-        if len(parts) > 1 or parts[0].startswith("0"):
+        if parts[0].startswith("0"):  # an RGS starts with 0; no block holds 0
             try:
                 return SetPartition(tuple(int(p) for p in parts))
             except PartitionError:
                 raise
             except ValueError:
                 raise PartitionError("bad RGS text: %r" % text)
+    numbers = "," in text or sum(c.isdecimal() for c in text) > 9
     blocks = []
     for chunk in text.split("|"):
         chunk = chunk.strip()
-        if "," in chunk:
-            blocks.append([int(p) for p in chunk.split(",")])
-        else:
-            if not chunk.isdigit():
-                raise PartitionError("bad block text: %r" % chunk)
-            blocks.append([int(c) for c in chunk])
+        try:
+            blocks.append([int(p) for p in (chunk.split(",") if numbers else chunk)])
+        except ValueError:
+            raise PartitionError("bad block text: %r" % chunk)
     return from_blocks(blocks)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .partitions import MarkedSetPartition
+from .partitions import MarkedSetPartition, crossing_count
 
 
 @dataclass(frozen=True)
@@ -56,11 +56,7 @@ def marked_intertwining(mu: MarkedSetPartition) -> int:
     """
     lam = mu.base
     arcs = lam.arcs()
-    total = 0
-    for e1, f1 in arcs:
-        for e2, f2 in arcs:
-            if e1 < e2 < f1 < f2:
-                total += 1
+    total = crossing_count(arcs)
     blocks = lam.blocks()
     for b, is_open in zip(blocks, mu.open_flags):
         if is_open:

@@ -117,10 +117,6 @@ class ShiftedBellPolynomial:
         }
 
 
-def evaluate(r: ShiftedBellPolynomial, n: int) -> Fraction:
-    return r.evaluate(n)
-
-
 @dataclass(frozen=True)
 class FitProfile:
     """Strictly increasing shifts with a max polynomial degree for each."""

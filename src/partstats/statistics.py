@@ -14,6 +14,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import Iterable, Mapping
 
 from .partitions import SetPartition, enumerate_partitions, iter_rgs
@@ -96,8 +97,13 @@ class WeightPolynomial:
         if e < 0:
             raise StatisticError("negative exponent")
         out = WeightPolynomial.constant(self.k, 1)
-        for _ in range(e):
-            out = out * self
+        base = self
+        while e:
+            if e & 1:
+                out = out * base
+            e >>= 1
+            if e:
+                base = base * base
         return out
 
     def relabeled(self, positions: tuple, k_new: int) -> "WeightPolynomial":
@@ -201,66 +207,221 @@ class Pattern:
         return cls(k, equiv, firsts, lasts, arcs, consecutive)
 
 
+# ---------------------------------------------------------------------------
+# compiled occurrence search
+# ---------------------------------------------------------------------------
+#
+# A pattern compiles once into one step per position, saying where that
+# position's candidates come from.  A partition is read through its views,
+# built once and shared by every pattern evaluated on it:
+#   cls[v]   block of element v (v = 1..n; cls[0] is a sentinel)
+#   nxt[v]   next element of v's block, 0 if v is its block's maximum
+#   first[v] whether v is its block's minimum
+# The search places positions left to right.  A position whose class was
+# used before walks that block from its previous element (an arc takes only
+# the next one); a consecutive position has the single candidate x_{i-1}+1;
+# a fresh class scans elements of blocks no earlier class holds.  Candidates
+# come in increasing order, so occurrences come out in lexicographic order.
+
+def _views(rgs: tuple) -> tuple:
+    n = len(rgs)
+    cls = (-1,) + rgs
+    nxt = [0] * (n + 1)
+    first = [False] * (n + 1)
+    tail = [0] * (n + 1)  # largest element seen so far, per block
+    for v in range(1, n + 1):
+        b = cls[v]
+        p = tail[b]
+        if p:
+            nxt[p] = v
+        else:
+            first[v] = True
+        tail[b] = v
+    return n, cls, nxt, first
+
+
+def _steps(p: Pattern):
+    """Per-position steps ``(prev, arc, adj, first, last, more)``, or None
+    when the constraints cannot hold together in any partition.
+
+    ``prev`` is the latest earlier position of the same class (-1 for a
+    fresh class); ``arc`` says the position is ``nxt`` of ``prev``; ``adj``
+    that it is one above the position before it; ``first``/``last`` that it
+    is its block's minimum/maximum; ``more`` that a later position shares
+    its class, so it is not its block's maximum.
+    """
+    k, equiv = p.k, p.equiv
+    prev, seen = [], {}
+    for i, c in enumerate(equiv):
+        prev.append(seen.get(c, -1))
+        seen[c] = i
+    arc, adj = [False] * k, [False] * k
+    for a, b in p.arcs:
+        # an arc joins a position to the next element of its block, so the
+        # source must be the latest earlier position of the target's class
+        if not 1 <= a < b <= k or prev[b - 1] != a - 1:
+            return None
+        arc[b - 1] = True
+    for a, b in p.consecutive:
+        if b != a + 1 or not 1 <= a < b <= k:  # a position between leaves no room
+            return None
+        adj[b - 1] = True
+    first = [False] * k
+    for i in p.firsts:
+        if prev[i - 1] >= 0:  # an earlier element of the block is smaller
+            return None
+        first[i - 1] = True
+    last = [False] * k
+    for i in p.lasts:
+        if seen[equiv[i - 1]] != i - 1:  # a later element of the block is larger
+            return None
+        last[i - 1] = True
+    more = [seen[c] != i for i, c in enumerate(equiv)]
+    return tuple(zip(prev, arc, adj, first, last, more))
+
+
+def _search(steps: tuple, weight, views: tuple, out, x: list, used: list, i: int, lo: int) -> int:
+    """Weighted count of the occurrences extending ``x[:i]``; position i
+    takes values from ``lo`` on.
+
+    ``weight`` is an int (a constant weight) or a tuple of ``(coefficient,
+    ((position, exponent), ...))`` integer monomials.  ``used`` holds the
+    block of each class placed so far.  When ``out`` is a list, every
+    occurrence is appended to it as a 1-indexed tuple.
+    """
+    n, cls, nxt, first = views
+    k = len(steps)
+    prev, arc, adj, want_first, want_last, more = steps[i]
+    hi = n - k + 1 + i
+    if prev >= 0:
+        v = nxt[x[prev]]
+        if arc:
+            cands = (v,) if lo <= v <= hi and (v == lo or not adj) else ()
+        elif adj:
+            cands = (lo,) if lo <= hi and cls[lo] == cls[x[prev]] else ()
+        else:
+            cands = []
+            while v and v <= hi:
+                if v >= lo:
+                    cands.append(v)
+                v = nxt[v]
+    elif want_first:  # a block minimum's block holds no earlier element
+        if adj:
+            cands = (lo,) if lo <= hi and first[lo] else ()
+        else:
+            cands = [v for v in range(lo, hi + 1) if first[v]]
+    elif adj:
+        cands = (lo,) if lo <= hi and cls[lo] not in used else ()
+    else:
+        cands = [v for v in range(lo, hi + 1) if cls[v] not in used]
+    if want_last:
+        cands = [v for v in cands if not nxt[v]]
+    elif more:
+        cands = [v for v in cands if nxt[v]]
+    if i + 1 == k:
+        if out is None and type(weight) is int:
+            return weight * len(cands)
+        total = 0
+        for v in cands:
+            x[i] = v
+            if out is not None:
+                out.append(tuple(x))
+            total += weight if type(weight) is int else _weigh(weight, x)
+        return total
+    total = 0
+    for v in cands:
+        x[i] = v
+        if prev < 0:
+            used.append(cls[v])
+            total += _search(steps, weight, views, out, x, used, i + 1, v + 1)
+            used.pop()
+        else:
+            total += _search(steps, weight, views, out, x, used, i + 1, v + 1)
+    return total
+
+
+def _weigh(weight: tuple, x: list) -> int:
+    total = 0
+    for c, powers in weight:
+        for i, e in powers:
+            c *= x[i] ** e
+        total += c
+    return total
+
+
+def _occurrence_total(steps: tuple, weight, views: tuple, out=None) -> int:
+    """Sum of ``weight`` over the occurrences of ``steps`` (k <= n)."""
+    if not steps:  # the empty tuple; a weight with no positions is an int
+        if out is not None:
+            out.append(())
+        return weight
+    return _search(steps, weight, views, out, [0] * len(steps), [], 0, 1)
+
+
 def occurrences(p: Pattern, lam: SetPartition) -> list:
     """All increasing tuples of [n] positions realizing the pattern."""
-    k, n = p.k, lam.n
-    if k == 0:
-        return [()]
-    if k > n:
+    steps = _steps(p)
+    if steps is None or p.k > lam.n:
         return []
-    cls = lam.rgs
-    firsts = lam.firsts()
-    lasts = lam.lasts()
-    arcset = set(lam.arcs())
-
-    in_f = [i + 1 in p.firsts for i in range(k)]
-    in_l = [i + 1 in p.lasts for i in range(k)]
-    # constraints touching position i with the partner already placed
-    arcs_at = [[] for _ in range(k)]
-    cons_at = [[] for _ in range(k)]
-    for a, b in p.arcs:
-        arcs_at[max(a, b) - 1].append((min(a, b) - 1, a < b))
-    for a, b in p.consecutive:
-        cons_at[max(a, b) - 1].append(min(a, b) - 1)
-
-    equiv = p.equiv
-    out = []
-    x = [0] * k
-
-    def place(i: int, start: int) -> None:
-        for v in range(start, n - (k - 1 - i) + 1):
-            if in_f[i] and v not in firsts:
-                continue
-            if in_l[i] and v not in lasts:
-                continue
-            ok = True
-            ei = equiv[i]
-            for j in range(i):
-                if (cls[x[j] - 1] == cls[v - 1]) != (equiv[j] == ei):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            for j, forward in arcs_at[i]:
-                pair = (x[j], v) if forward else (v, x[j])
-                if pair not in arcset:
-                    ok = False
-                    break
-            if ok:
-                for j in cons_at[i]:
-                    if v - x[j] != 1:
-                        ok = False
-                        break
-            if not ok:
-                continue
-            x[i] = v
-            if i + 1 == k:
-                out.append(tuple(x))
-            else:
-                place(i + 1, v + 1)
-
-    place(0, 1)
+    out: list = []
+    _occurrence_total(steps, 1, _views(lam.rgs), out)
     return out
+
+
+class _Program:
+    """A statistic compiled for evaluation.
+
+    Terms on the same pattern share one search, their weights summed;
+    every weight coefficient is an integer over the common denominator
+    ``den``.  ``at(n)`` fixes the ground size m = n into the weights.
+    """
+
+    __slots__ = ("den", "patterns", "_at")
+
+    def __init__(self, f: "Statistic"):
+        by_pattern: dict = {}
+        for c, s in f.terms:
+            acc = by_pattern.setdefault(s.pattern, {})
+            for mono, qc in s.q.terms:
+                acc[mono] = acc.get(mono, 0) + c * qc
+        self.den = lcm(*(v.denominator for acc in by_pattern.values() for v in acc.values()))
+        self.patterns = []
+        for p, acc in by_pattern.items():
+            steps = _steps(p)
+            monos = [
+                (int(v * self.den), tuple((i, e) for i, e in enumerate(mono[:-1]) if e), mono[-1])
+                for mono, v in acc.items()
+                if v
+            ]
+            if steps is not None and monos:
+                self.patterns.append((p.k, steps, monos))
+        self._at = (None, None)
+
+    def at(self, n: int) -> list:
+        """``[(steps, weight)]`` for partitions of [n], in the form
+        ``_search`` takes; patterns longer than n and zero weights drop out."""
+        last_n, program = self._at
+        if n != last_n:
+            program = []
+            for k, steps, monos in self.patterns:
+                if k > n:
+                    continue
+                folded: dict = {}
+                for c, powers, em in monos:
+                    folded[powers] = folded.get(powers, 0) + c * n ** em
+                weight = tuple((c, powers) for powers, c in folded.items() if c)
+                if not weight:
+                    continue
+                if len(weight) == 1 and not weight[0][1]:
+                    weight = weight[0][0]
+                program.append((steps, weight))
+            self._at = (n, program)
+        return program
+
+    def total(self, rgs: tuple) -> int:
+        """The statistic times ``den`` on the partition with this RGS."""
+        views = _views(rgs)
+        return sum(_occurrence_total(steps, w, views) for steps, w in self.at(len(rgs)))
 
 
 # ---------------------------------------------------------------------------
@@ -277,10 +438,7 @@ class SimpleStatistic:
             raise StatisticError("weight polynomial arity != pattern length")
 
     def evaluate(self, lam: SetPartition) -> Fraction:
-        total = Fraction(0)
-        for s in occurrences(self.pattern, lam):
-            total += self.q.evaluate(s, lam.n)
-        return total
+        return Statistic([(1, self)]).evaluate(lam)
 
     def degree(self) -> int:
         return self.pattern.k + self.q.total_degree()
@@ -289,7 +447,7 @@ class SimpleStatistic:
 class Statistic:
     """A finite rational linear combination of simple statistics."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_program")
 
     def __init__(self, terms: Iterable[tuple]):
         acc: dict = {}
@@ -298,13 +456,20 @@ class Statistic:
             if c:
                 acc[s] = acc.get(s, Fraction(0)) + c
         self.terms = tuple((c, s) for s, c in acc.items() if c)
+        self._program = None
 
     @classmethod
     def simple(cls, pattern: Pattern, q: WeightPolynomial) -> "Statistic":
         return cls([(Fraction(1), SimpleStatistic(pattern, q))])
 
+    def _compiled(self) -> _Program:
+        if self._program is None:
+            self._program = _Program(self)
+        return self._program
+
     def evaluate(self, lam: SetPartition) -> Fraction:
-        return sum((c * s.evaluate(lam) for c, s in self.terms), Fraction(0))
+        prog = self._compiled()
+        return Fraction(prog.total(lam.rgs), prog.den)
 
     def degree(self) -> int:
         return max((s.degree() for _, s in self.terms), default=0)
@@ -330,17 +495,10 @@ class Statistic:
         return "Statistic(<%d terms, degree %d>)" % (len(self.terms), self.degree())
 
 
-def evaluate(f: Statistic, lam: SetPartition) -> Fraction:
-    return f.evaluate(lam)
-
-
-def degree(f: Statistic) -> int:
-    return f.degree()
-
-
 def aggregate(f: Statistic, n: int) -> Fraction:
     """Exact sum of f over all partitions of [n]."""
-    return sum((f.evaluate(lam) for lam in enumerate_partitions(n)), Fraction(0))
+    prog = f._compiled()
+    return Fraction(sum(prog.total(lam.rgs) for lam in enumerate_partitions(n)), prog.den)
 
 
 # ---------------------------------------------------------------------------
@@ -457,6 +615,24 @@ def _nat_param(params: dict, key: str, minimum: int = 0) -> int:
 
 _TOKEN = re.compile(r"\s*(\d+|y\d+|m|\(|\)|\+|\-|\*|\^|/)")
 
+# Largest total degree (in y_1..y_k and m) a DSL weight may reach; checked
+# before each product or power, so no expression runs unbounded.
+MAX_WEIGHT_DEGREE = 16
+
+
+def _natural(t: str) -> int:
+    try:
+        return int(t)
+    except ValueError:  # more digits than int() converts
+        raise StatisticError("number %.20s... in weight expression is too long" % t)
+
+
+def _check_degree(d: int) -> None:
+    if d > MAX_WEIGHT_DEGREE:
+        raise StatisticError(
+            "weight degree %d exceeds MAX_WEIGHT_DEGREE = %d" % (d, MAX_WEIGHT_DEGREE)
+        )
+
 
 def _parse_q(text: str, k: int) -> WeightPolynomial:
     tokens = []
@@ -496,7 +672,9 @@ def _parse_q(text: str, k: int) -> WeightPolynomial:
         acc = parse_factor()
         while peek() == "*":
             take()
-            acc = acc * parse_factor()
+            f = parse_factor()
+            _check_degree(acc.total_degree() + f.total_degree())
+            acc = acc * f
         return acc
 
     def parse_factor():
@@ -506,7 +684,10 @@ def _parse_q(text: str, k: int) -> WeightPolynomial:
             t = take()
             if t is None or not t.isdigit():
                 raise StatisticError("exponent must be a natural number")
-            base = base ** int(t)
+            e = _natural(t)
+            # a constant base is capped too: its power grows without bound
+            _check_degree(max(e, base.total_degree() * e))
+            base = base ** e
         return base
 
     def parse_atom():
@@ -521,61 +702,85 @@ def _parse_q(text: str, k: int) -> WeightPolynomial:
         if t is None:
             raise StatisticError("unexpected end of weight expression")
         if t.isdigit():
-            num = int(t)
+            num = _natural(t)
             if peek() == "/":
                 take()
                 den = take()
-                if den is None or not den.isdigit() or int(den) == 0:
+                if den is None or not den.isdigit() or _natural(den) == 0:
                     raise StatisticError("bad rational literal")
-                return WeightPolynomial.constant(k, Fraction(num, int(den)))
+                return WeightPolynomial.constant(k, Fraction(num, _natural(den)))
             return WeightPolynomial.constant(k, num)
         if t == "m":
             return WeightPolynomial.ground_size(k)
         if t.startswith("y"):
-            return WeightPolynomial.variable(k, int(t[1:]))
+            return WeightPolynomial.variable(k, _natural(t[1:]))
         raise StatisticError("unexpected token %r" % t)
 
-    result = parse_expr()
+    try:
+        result = parse_expr()
+    except RecursionError:
+        raise StatisticError("weight expression is nested too deeply")
     if peek() is not None:
         raise StatisticError("trailing tokens in weight expression")
     return result
 
 
+def _positions(doc: dict, key: str) -> list:
+    v = doc.get(key, [])
+    if not isinstance(v, (list, tuple)) or any(type(i) is not int for i in v):
+        raise StatisticError("'%s' must be a list of integer positions" % key)
+    return list(v)
+
+
+def _pairs(doc: dict, key: str) -> list:
+    v = doc.get(key, [])
+    if not isinstance(v, (list, tuple)) or any(
+        not isinstance(pr, (list, tuple)) or len(pr) != 2 or any(type(i) is not int for i in pr)
+        for pr in v
+    ):
+        raise StatisticError("'%s' must be a list of [a, b] pairs of integer positions" % key)
+    return [tuple(pr) for pr in v]
+
+
 def pattern_from_dict(doc: dict) -> Statistic:
     """Build a simple statistic from a DSL document (parsed JSON object)."""
-    try:
-        k = int(doc["length"])
-    except (KeyError, TypeError, ValueError):
-        raise StatisticError("pattern document needs an integer 'length'")
+    k = doc.get("length")
+    if type(k) is not int or k < 0:
+        raise StatisticError("pattern document needs a nonnegative integer 'length'")
     blocks = doc.get("blocks")
     if blocks is None:
         raise StatisticError("pattern document needs 'blocks'")
-    labels = [None] * k
+    if not isinstance(blocks, (list, tuple)) or any(
+        not isinstance(b, (list, tuple)) or any(type(x) is not int for x in b) for b in blocks
+    ):
+        raise StatisticError("'blocks' must be a list of lists of integer positions")
+    labels: dict = {}
     for bi, b in enumerate(blocks):
         for x in b:
-            x = int(x)
-            if not 1 <= x <= k or labels[x - 1] is not None:
+            if not 1 <= x <= k or x in labels:
                 raise StatisticError("'blocks' must partition 1..%d" % k)
-            labels[x - 1] = bi
-    if any(v is None for v in labels):
+            labels[x] = bi
+    if len(labels) != k:
         raise StatisticError("'blocks' must partition 1..%d" % k)
+    q = doc.get("q", "1")
+    if not isinstance(q, str):
+        raise StatisticError("'q' must be a string, such as \"y1 + 1/2*m\"")
     p = Pattern.make(
         k,
-        labels,
-        firsts=[int(i) for i in doc.get("firsts", [])],
-        lasts=[int(i) for i in doc.get("lasts", [])],
-        arcs=[tuple(map(int, pr)) for pr in doc.get("arcs", [])],
-        consecutive=[tuple(map(int, pr)) for pr in doc.get("consecutive", [])],
+        [labels[x] for x in range(1, k + 1)],
+        firsts=_positions(doc, "firsts"),
+        lasts=_positions(doc, "lasts"),
+        arcs=_pairs(doc, "arcs"),
+        consecutive=_pairs(doc, "consecutive"),
     )
-    q = _parse_q(doc.get("q", "1"), k)
-    return Statistic.simple(p, q)
+    return Statistic.simple(p, _parse_q(q, k))
 
 
 def parse_pattern(text: str) -> Statistic:
     """Parse a pattern DSL document from JSON text."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:  # JSONDecodeError, or too many digits or levels
         raise StatisticError("pattern document is not valid JSON: %s" % e)
     if not isinstance(doc, dict):
         raise StatisticError("pattern document must be a single object")

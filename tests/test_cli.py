@@ -1,9 +1,15 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from partstats.cli import run
 from partstats.exactnum import bell
+from partstats.statistics import MAX_WEIGHT_DEGREE
 
 
 def invoke(capsys, *argv):
@@ -113,6 +119,16 @@ def test_out_redirection(tmp_path, capsys):
     assert target.read_text() == "n,bell\n0,1\n1,1\n2,2\n3,5\n"
 
 
+def test_out_to_missing_directory_is_a_user_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.csv"
+    code, out, err = invoke(capsys, "bell", "--max", "3", "--out", str(target))
+    assert code == 1 and out == "" and err.startswith("error: cannot write output")
+    csv = tmp_path / "hist.csv"
+    csv.write_text("value,count\n0,1\n")
+    code, _, err = invoke(capsys, "plot", "--input", str(csv), "--out", str(target))
+    assert code == 1 and err.startswith("error: cannot write output")
+
+
 def test_deterministic_output(capsys):
     _, a, _ = invoke(capsys, "moments", "int", "--n", "9", "--k", "3")
     _, b, _ = invoke(capsys, "moments", "int", "--n", "9", "--k", "3")
@@ -146,3 +162,86 @@ def test_eval_bad_partition(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     code, _, err = invoke(capsys, "eval", "--pattern", str(path), "--partition", "13|13")
     assert code == 1 and err.startswith("error:")
+
+
+# --- pattern documents: every malformed one exits 1 -----------------------------
+
+def _eval_document(text: str):
+    """Exit code and stderr of ``eval`` with ``text`` as the pattern file."""
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "p.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run(["eval", "--pattern", path, "--partition", "13|2|4"])
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"length": 1, "blocks": [[1]], "firsts": ["a"]},
+        {"length": 2, "blocks": [[1, 2]], "arcs": [[1]]},
+        {"length": 1, "blocks": [[1]], "q": 5},
+        {"length": 2, "blocks": [[1, 2]], "firsts": "12"},
+        {"length": 1, "blocks": [[1]], "q": "y1^100000000"},
+        {"length": 1, "blocks": [[1]], "q": "9" * 5000},
+        {"length": 1, "blocks": [[1]], "q": "(" * 3000 + "1" + ")" * 3000},
+        {"length": "1", "blocks": [[1]]},
+        {"length": 1, "blocks": [[True]]},
+        {"length": 10 ** 12, "blocks": [[1]]},
+    ],
+)
+def test_malformed_documents_exit_one(doc):
+    code, err = _eval_document(json.dumps(doc))
+    assert code == 1, err
+    assert err.startswith("error: invalid pattern:") and len(err.strip().splitlines()) == 1
+
+
+def test_weight_degree_cap_is_named():
+    code, err = _eval_document(json.dumps({"length": 1, "blocks": [[1]], "q": "y1^100000000"}))
+    assert code == 1 and "MAX_WEIGHT_DEGREE = %d" % MAX_WEIGHT_DEGREE in err
+    doc = {"length": 1, "blocks": [[1]], "q": "y1^%d" % MAX_WEIGHT_DEGREE}
+    assert _eval_document(json.dumps(doc))[0] == 0
+
+
+@pytest.mark.parametrize("text", ["[" * 5000, '{"length": %s}' % ("9" * 5000)])
+def test_unparsable_json_exits_one(text):
+    assert _eval_document(text)[0] == 1
+
+
+def test_pattern_file_not_utf8_exits_one(tmp_path, capsys):
+    path = tmp_path / "p.json"
+    path.write_bytes(b"\xff\xfe{")
+    code, _, err = invoke(capsys, "eval", "--pattern", str(path), "--partition", "1|2")
+    assert code == 1 and err.startswith("error: cannot read pattern file")
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 6) | st.floats(allow_nan=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=8,
+)
+_POSITION = st.integers(-1, 5) | _JSON
+_DOCUMENTS = st.fixed_dictionaries(
+    {},
+    optional={
+        "length": st.integers(-1, 5) | _JSON,
+        "blocks": st.lists(st.lists(_POSITION, max_size=3), max_size=3) | _JSON,
+        "firsts": st.lists(_POSITION, max_size=3) | _JSON,
+        "lasts": st.lists(_POSITION, max_size=3) | _JSON,
+        "arcs": st.lists(st.lists(_POSITION, max_size=3), max_size=2) | _JSON,
+        "consecutive": st.lists(st.lists(_POSITION, max_size=3), max_size=2) | _JSON,
+        "q": st.text(alphabet="y12345m()+-*^/ 0", max_size=12) | _JSON,
+    },
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_DOCUMENTS)
+def test_fuzzed_documents_never_exit_two(doc):
+    code, err = _eval_document(json.dumps(doc))
+    assert code in (0, 1), err
+    if code == 1:
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1

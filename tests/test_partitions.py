@@ -43,9 +43,32 @@ def test_parse_partition_formats_agree():
 
 
 def test_parse_partition_rejects_garbage():
-    for bad in ["13|13", "1|3", "0,2", "1x3", "|", "2|1,1"]:
+    for bad in ["13|13", "1|3", "0,2", "1x3", "|", "2|1,1", "1,a|2", "1,|2", "1\u00b2|3"]:
         with pytest.raises(PartitionError):
             parse_partition(bad)
+
+
+def test_block_notation_above_nine():
+    lam = SetPartition((0, 1, 0, 2, 2, 2, 2, 2, 2, 2, 2, 3))
+    assert str(lam) == "1,3|2|4,5,6,7,8,9,10,11|12"
+    assert parse_partition(str(lam)) == lam
+    for rgs in [tuple(range(10)), (0,) * 10]:  # no comma; no bar
+        assert parse_partition(str(SetPartition(rgs))) == SetPartition(rgs)
+
+
+@st.composite
+def rgs_strings(draw):
+    rgs = []
+    for _ in range(draw(st.integers(min_value=0, max_value=14))):
+        rgs.append(draw(st.integers(min_value=0, max_value=max(rgs, default=-1) + 1)))
+    return tuple(rgs)
+
+
+@settings(max_examples=200)
+@given(rgs_strings())
+def test_block_notation_roundtrip(rgs):
+    lam = SetPartition(rgs)
+    assert parse_partition(str(lam)) == lam
 
 
 def test_arcs_and_extrema():

@@ -118,6 +118,14 @@ def test_weight_polynomial_arithmetic():
     assert q.total_degree() == 2
 
 
+def test_weight_polynomial_power_by_squaring():
+    q = WeightPolynomial.variable(2, 1) + WeightPolynomial.ground_size(2).scaled(Fraction(1, 2))
+    product = WeightPolynomial.constant(2, 1)
+    for e in range(12):
+        assert q ** e == product
+        product = product * q
+
+
 def test_weight_polynomial_rationals():
     q = WeightPolynomial.constant(1, Fraction(1, 3))
     y = WeightPolynomial.variable(1, 1)
