@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 
 from . import asymptotics, recursions, shifted_bell, statistics
 from .exactnum import bell, bell_mod_table
@@ -76,21 +77,9 @@ def _cmd_bell(args) -> None:
     _write(args, "n,bell\n" + "".join("%d,%d\n" % (n, v) for n, v in enumerate(values)))
 
 
-def _brute_dim_distribution(n: int) -> dict:
-    d = statistics.builtin("dimension")
-    hist: dict = {}
-    for lam in enumerate_partitions(n):
-        v = int(d.evaluate(lam))
-        hist[v] = hist.get(v, 0) + 1
-    return hist
-
-
-def _brute_int_distribution(n: int) -> dict:
-    hist: dict = {}
-    for lam in enumerate_partitions(n):
-        v = crossing_count(lam.arcs())
-        hist[v] = hist.get(v, 0) + 1
-    return hist
+def _histogram(n: int, value) -> Counter:
+    """Partitions of [n] counted by ``value``, by enumeration."""
+    return Counter(map(value, enumerate_partitions(n)))
 
 
 def _cmd_dist(args) -> None:
@@ -98,11 +87,12 @@ def _cmd_dist(args) -> None:
         raise CliError("--n must be nonnegative")
     if args.brute:
         _guard_n(args.n, args.force)
-        hist = (
-            _brute_dim_distribution(args.n)
-            if args.target == "dim"
-            else _brute_int_distribution(args.n)
-        )
+        if args.target == "dim":
+            d = statistics.builtin("dimension")
+            hist = _histogram(args.n, lambda lam: int(d.evaluate(lam)))
+        else:
+            # the oracle counts crossings directly, not through the evaluator
+            hist = _histogram(args.n, lambda lam: crossing_count(lam.arcs()))
     else:
         hist = (
             recursions.dim_distribution(args.n)

@@ -8,7 +8,10 @@ is the honest distribution over ordinary set partitions.
 
 from __future__ import annotations
 
+from collections import Counter, deque
 from dataclasses import dataclass
+from math import comb
+from operator import mul
 
 from .partitions import MarkedSetPartition, crossing_count
 
@@ -19,12 +22,6 @@ class DistLayer:
 
     n: int
     cells: dict
-
-    def a_slice(self, a: int = 0) -> dict:
-        return {b: c for (aa, b), c in self.cells.items() if aa == a}
-
-    def total(self) -> int:
-        return sum(self.cells.values())
 
 
 # ---------------------------------------------------------------------------
@@ -66,83 +63,101 @@ def marked_intertwining(mu: MarkedSetPartition) -> int:
 
 
 # ---------------------------------------------------------------------------
-# dimension exponent
+# one transfer DP for both exponents
+# ---------------------------------------------------------------------------
+
+# target -> (d, a -> (P0, P1)).  P0 and P1 are the weight polynomials
+# {shift: count} of a new element meeting a open blocks.  P0: it opens a
+# block (A: a -> a+1) or is a closed singleton (a -> a).  P1: it extends an
+# open block, which stays open (a -> a) or closes (a -> a-1).  Packed rows
+# multiply by the few terms of d * P and divide their sum by d: for int,
+# (x - 1)(1 + x + ... + x^(a-1)) = x^a - 1.
+_STEPS = {
+    "dim": ({0: 1}, lambda a: ({a: 1}, {a - 1: a} if a else {})),
+    "int": ({0: -1, 1: 1}, lambda a: ({0: 1}, dict.fromkeys(range(a), 1))),
+}
+
+
+def _layers(target: str, n: int, table: bool, kmax: int = 0, slot: int = 0):
+    """Yield the rows of layers 0..n; row A is the marked partitions with A open blocks.
+
+    With ``slot`` a row is its weight polynomial packed into one integer,
+    ``slot`` bits per coefficient (Kronecker substitution); otherwise it
+    is the power sums M_0..M_kmax of its weights.  Unless ``table``, rows
+    that cannot close their blocks by layer n are dropped.
+    """
+    d, step = _STEPS[target]
+    # per row a: the polynomials of the moves from rows a-1, a and a+1
+    moves = [(step(a - 1)[0] if a else {}, Counter(step(a)[0]) + Counter(step(a)[1]),
+              step(a + 1)[1]) for a in range(n + 1)]
+    if slot:
+        den = sum(c << slot * s for s, c in d.items())
+        terms = [[(j, c, slot * s) for j, p in enumerate(m) for s, c in _times(p, d).items() if c]
+                 for m in moves]
+        zero, rows = 0, [1]
+
+        def combine(a, *v):
+            return sum(v[j] * c << s for j, c, s in terms[a]) // den
+    else:
+        # M_j(row * P) = sum_i C(j, i) M_i(row) N_{j-i}(P), N_t the power sums of P
+        ks = range(kmax + 1)
+        mats = []
+        for m in moves:
+            sums = [[sum(c * s ** t for s, c in p.items()) for t in ks] for p in m]
+            mats.append([[comb(j, i) * ns[j - i] if i <= j else 0 for ns in sums for i in ks]
+                         for j in ks])
+        zero, rows = [0] * (kmax + 1), [[1] + [0] * kmax]
+
+        def combine(a, lo, mid, hi):
+            v = lo + mid + hi
+            return [sum(map(mul, r, v)) for r in mats[a]]
+    yield rows
+    for i in range(1, n + 1):
+        p = rows + [zero, zero]  # p[-1] is the empty row below A = 0
+        top = i if table else min(i, n - i)
+        rows = [combine(a, p[a - 1], p[a], p[a + 1]) for a in range(top + 1)]
+        yield rows
+
+
+def _times(p: dict, q: dict) -> Counter:
+    """The product of two polynomials {shift: coefficient}."""
+    out = Counter()
+    for t, e in q.items():
+        out.update({s + t: c * e for s, c in p.items()})
+    return out
+
+
+def _cells(target: str, n: int, table: bool) -> dict:
+    """{(A, B): count} of layer n."""
+    # every packed coefficient is at most the count of all marked partitions
+    # of [n]; deque(..., 1) keeps only the last layer
+    total = sum(r[0] for r in deque(_layers(target, n, True), 1).pop())
+    size = (total.bit_length() + 7) // 8
+    cells = {}
+    for a, row in enumerate(deque(_layers(target, n, table, slot=8 * size), 1).pop()):
+        raw = row.to_bytes((row.bit_length() + 7) // 8, "little")
+        counts = (int.from_bytes(raw[i:i + size], "little") for i in range(0, len(raw), size))
+        cells.update(((a, b), c) for b, c in enumerate(counts) if c)
+    return cells
+
+
+# ---------------------------------------------------------------------------
+# front ends: dimension and intertwining exponents
 # ---------------------------------------------------------------------------
 
 def dim_table(n: int) -> DistLayer:
-    """f(n; A, B): marked partitions with A open blocks and weight B.
-
-    Layer recursion: the new element joins as an open singleton, a
-    closed singleton, extends an open block, or extends-and-closes one.
-    """
-    layer = {(0, 0): 1}
-    for _ in range(n):
-        nxt: dict = {}
-        for (a, b), c in layer.items():
-            # new element as an open singleton
-            _add(nxt, a + 1, b + a, c)
-            # new element as a closed singleton
-            _add(nxt, a, b + a, c)
-            if a:
-                # appended to one of the a open blocks, block stays open
-                _add(nxt, a, b + a - 1, a * c)
-                # appended to one of the a open blocks, block closes
-                _add(nxt, a - 1, b + a - 1, a * c)
-        layer = nxt
-    return DistLayer(n, layer)
-
-
-def _add(cells: dict, a: int, b: int, c: int) -> None:
-    key = (a, b)
-    cells[key] = cells.get(key, 0) + c
+    """f(n; A, B): marked partitions with A open blocks and weight B."""
+    return DistLayer(n, _cells("dim", n, True))
 
 
 def dim_distribution(n: int) -> dict:
     """Counts of ordinary partitions of [n] by dimension exponent."""
-    return dim_table(n).a_slice(0)
+    return {b: c for (_, b), c in _cells("dim", n, False).items()}
 
 
 def dim_moments_range(kmax: int, nmax: int) -> list:
-    """[M(d^0;n)..M(d^kmax;n)] for every n in 0..nmax, all exact integers.
-
-    Never materializes the weight axis: tracks, per open-block count A,
-    the power sums of the marked weight up to order kmax.
-    """
-    from math import comb
-
-    # cur[k][A] = M_k(d; current layer, A)
-    cur = [[1 if k == 0 else 0] for k in range(kmax + 1)]
-    out = [[cur[k][0] for k in range(kmax + 1)]]
-    for n in range(1, nmax + 1):
-        prev = cur
-        amax_prev = len(prev[0]) - 1
-        cur = [[0] * (n + 1) for _ in range(kmax + 1)]
-        for a in range(n + 1):
-            for k in range(kmax + 1):
-                acc = 0
-                # open singleton added: from (a-1), weight shift a-1
-                if 0 <= a - 1 <= amax_prev:
-                    acc += _shifted(prev, k, a - 1, a - 1, comb)
-                # closed singleton: from a, weight shift a
-                if a <= amax_prev:
-                    acc += _shifted(prev, k, a, a, comb)
-                    # extend an open block, stays open: multiplicity a, shift a-1
-                    if a:
-                        acc += a * _shifted(prev, k, a, a - 1, comb)
-                # extend an open block and close it: from a+1, shift a
-                if a + 1 <= amax_prev:
-                    acc += (a + 1) * _shifted(prev, k, a + 1, a, comb)
-                cur[k][a] = acc
-        out.append([cur[k][0] for k in range(kmax + 1)])
-    return out
-
-
-def _shifted(prev: list, k: int, a: int, delta: int, comb) -> int:
-    """sum_j C(k,j) delta^(k-j) M_j(prev layer, A=a)."""
-    acc = 0
-    for j in range(k + 1):
-        acc += comb(k, j) * delta ** (k - j) * prev[j][a]
-    return acc
+    """[M(d^0;n)..M(d^kmax;n)] for every n in 0..nmax, all exact integers."""
+    return [rows[0] for rows in _layers("dim", nmax, False, kmax)]
 
 
 def dim_moments(kmax: int, n: int) -> list:
@@ -150,87 +165,21 @@ def dim_moments(kmax: int, n: int) -> list:
     return dim_moments_range(kmax, n)[n]
 
 
-# ---------------------------------------------------------------------------
-# intertwining exponent
-# ---------------------------------------------------------------------------
-
-def _int_layers(nmax: int):
-    """Yield (n, rows) for n = 0..nmax; rows[A] is a dense list over B."""
-    rows = [[1]]
-    yield 0, rows
-    for n in range(1, nmax + 1):
-        bmax_prev = max(len(r) for r in rows) - 1
-        amax = n
-        bmax = bmax_prev + n  # weight can grow by at most the old open count
-        # prefix sums per A-row of the previous layer
-        prefix = []
-        for r in rows:
-            p = [0] * (len(r) + 1)
-            for i, v in enumerate(r):
-                p[i + 1] = p[i] + v
-            prefix.append(p)
-
-        def row_get(a: int, b: int) -> int:
-            if a < 0 or a >= len(rows) or b < 0 or b >= len(rows[a]):
-                return 0
-            return rows[a][b]
-
-        def row_range(a: int, lo: int, hi: int) -> int:
-            # sum over b in [lo, hi] of rows[a][b]
-            if a < 0 or a >= len(rows) or hi < 0:
-                return 0
-            lo = max(lo, 0)
-            hi = min(hi, len(rows[a]) - 1)
-            if lo > hi:
-                return 0
-            p = prefix[a]
-            return p[hi + 1] - p[lo]
-
-        nxt = []
-        for a in range(amax + 1):
-            row = [0] * (bmax + 1)
-            for b in range(bmax + 1):
-                v = row_get(a, b)  # closed singleton
-                v += row_get(a - 1, b)  # open singleton
-                v += row_range(a + 1, b - a, b)  # close one of a+1 open blocks
-                if a:
-                    v += row_range(a, b - a + 1, b)  # extend an open block
-                row[b] = v
-            while row and row[-1] == 0:
-                row.pop()
-            nxt.append(row)
-        while nxt and not nxt[-1]:
-            nxt.pop()
-        rows = nxt
-        yield n, rows
-
-
 def int_table(n: int) -> DistLayer:
     """f_i(n; A, B): marked partitions by open blocks and crossing weight."""
-    for m, rows in _int_layers(n):
-        if m == n:
-            cells = {}
-            for a, row in enumerate(rows):
-                for b, c in enumerate(row):
-                    if c:
-                        cells[(a, b)] = c
-            return DistLayer(n, cells)
-    raise AssertionError("unreachable")
+    return DistLayer(n, _cells("int", n, True))
 
 
 def int_distribution(n: int) -> dict:
     """Counts of ordinary partitions of [n] by number of 2-crossings."""
-    return int_table(n).a_slice(0)
+    return {b: c for (_, b), c in _cells("int", n, False).items()}
 
 
 def int_moments_range(kmax: int, nmax: int) -> list:
-    """[M(i^0;n)..M(i^kmax;n)] for n = 0..nmax, via the distribution DP."""
-    out = []
-    for _, rows in _int_layers(nmax):
-        slice0 = rows[0] if rows else []
-        out.append([sum(c * b ** k for b, c in enumerate(slice0)) for k in range(kmax + 1)])
-    return out
+    """[M(i^0;n)..M(i^kmax;n)] for n = 0..nmax, all exact integers."""
+    return [rows[0] for rows in _layers("int", nmax, False, kmax)]
 
 
 def int_moments(kmax: int, n: int) -> list:
+    """Exact M(i^k; n) for k = 0..kmax."""
     return int_moments_range(kmax, n)[n]

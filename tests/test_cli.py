@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from partstats.cli import run
 from partstats.exactnum import bell
-from partstats.statistics import MAX_WEIGHT_DEGREE
+from partstats.statistics import MAX_WEIGHT_DEGREE, MAX_WEIGHT_MONOMIALS
 
 
 def invoke(capsys, *argv):
@@ -203,6 +203,18 @@ def test_weight_degree_cap_is_named():
     code, err = _eval_document(json.dumps({"length": 1, "blocks": [[1]], "q": "y1^100000000"}))
     assert code == 1 and "MAX_WEIGHT_DEGREE = %d" % MAX_WEIGHT_DEGREE in err
     doc = {"length": 1, "blocks": [[1]], "q": "y1^%d" % MAX_WEIGHT_DEGREE}
+    assert _eval_document(json.dumps(doc))[0] == 0
+
+
+def test_weight_monomial_cap_is_named():
+    # (y1+...+y8+m)^16 is within MAX_WEIGHT_DEGREE but has 735,471 monomials
+    doc = {"length": 8, "blocks": [[i] for i in range(1, 9)],
+           "q": "(y1+y2+y3+y4+y5+y6+y7+y8+m)^16"}
+    code, err = _eval_document(json.dumps(doc))
+    assert code == 1 and "MAX_WEIGHT_MONOMIALS = %d" % MAX_WEIGHT_MONOMIALS in err
+    doc["q"] = "(y1+y2+y3+y4+y5+y6+y7+y8+m)^3*(y1+y2+y3+y4+y5+y6+y7+y8+m)^3"
+    assert _eval_document(json.dumps(doc))[0] == 1
+    doc["q"] = "(y1+y2+y3+y4+y5+y6+y7+y8+m)^3"
     assert _eval_document(json.dumps(doc))[0] == 0
 
 

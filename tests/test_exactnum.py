@@ -54,3 +54,12 @@ def test_bell_mod_table_shape():
 def test_bell_negative_rejected():
     with pytest.raises(ValueError):
         bell(-1)
+
+
+def test_bell_and_stirling_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.functions.combinatorial.numbers import stirling
+
+    assert [bell(n) for n in range(301)] == [int(sympy.bell(n)) for n in range(301)]
+    for n in range(41):
+        assert [stirling2(n, k) for k in range(n + 1)] == [int(stirling(n, k)) for k in range(n + 1)]

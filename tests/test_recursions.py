@@ -108,3 +108,12 @@ def test_distribution_value_ranges():
         ii = int_distribution(n)
         assert min(ii) == 0
         assert all(c > 0 for c in ii.values())
+
+
+def test_moments_agree_with_distributions():
+    # moments come from power-sum rows, distributions from packed rows
+    for moments, distribution in ((dim_moments, dim_distribution), (int_moments, int_distribution)):
+        for n in range(31):
+            dist = distribution(n)
+            assert moments(4, n) == [sum(c * b ** k for b, c in dist.items()) for k in range(5)]
+            assert moments(0, n) == [bell(n)]
