@@ -7,8 +7,11 @@ Exit codes: 0 success, 1 user error (single-line diagnostic on stderr),
 from __future__ import annotations
 
 import argparse
+import json
+import math
 import sys
 from collections import Counter
+from fractions import Fraction
 
 from . import asymptotics, recursions, shifted_bell, statistics
 from .exactnum import bell, bell_mod_table
@@ -16,6 +19,10 @@ from .partitions import PartitionError, crossing_count, enumerate_partitions, pa
 from .statistics import StatisticError
 
 BRUTE_GUARD = 14
+# dist's DP cost grows about as n^5 (dim) and n^6 (int); measured at the
+# bound on CPython 3.11.7, 2 vCPU
+DP_GUARD = 200
+DP_COST = "at n=200 dist dim took 27 s and 142 MiB, dist int 85 s and 101 MiB"
 
 
 class CliError(Exception):
@@ -49,12 +56,10 @@ def _load_statistic(path: str) -> statistics.Statistic:
         raise CliError("invalid pattern: %s" % e)
 
 
-def _guard_n(n: int, force: bool) -> None:
-    if n > BRUTE_GUARD and not force:
-        raise CliError(
-            "n=%d exceeds the brute-force guard (%d); pass --force to override"
-            % (n, BRUTE_GUARD)
-        )
+def _guard_n(n: int, force: bool, bound: int = BRUTE_GUARD, what: str = "brute-force guard",
+             cost: str = "") -> None:
+    if n > bound and not force:
+        raise CliError("n=%d exceeds the %s (%d%s); pass --force to override" % (n, what, bound, cost))
 
 
 def _csv(rows) -> str:
@@ -94,6 +99,7 @@ def _cmd_dist(args) -> None:
             # the oracle counts crossings directly, not through the evaluator
             hist = _histogram(args.n, lambda lam: crossing_count(lam.arcs()))
     else:
+        _guard_n(args.n, args.force, DP_GUARD, "DP guard", "; " + DP_COST)
         hist = (
             recursions.dim_distribution(args.n)
             if args.target == "dim"
@@ -143,8 +149,6 @@ def _fit_target(target: str, k: int) -> shifted_bell.ShiftedBellPolynomial:
 
 
 def _cmd_fit(args) -> None:
-    import json
-
     if args.target:
         result = _fit_target(args.target, args.k)
     elif args.pattern:
@@ -168,8 +172,6 @@ def _cmd_fit(args) -> None:
 
 
 def _cmd_asym(args) -> None:
-    from fractions import Fraction
-
     n = args.n
     if n < 2:
         raise CliError("--n must be at least 2")
@@ -190,8 +192,6 @@ def _cmd_asym(args) -> None:
     exact_log = asymptotics.log_bell_exact(n)
     for order in (0, 1, 2):
         est = asymptotics.log_bell_asym(n, 0, order).log_value
-        import math
-
         lines.append(
             "log_bell_T%d,%.12g,%.12g,%.3e"
             % (order, exact_log, est, abs(math.exp(est - exact_log) - 1.0))

@@ -64,23 +64,16 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-_STIRLING_ROWS = [[1]]  # row n holds S(n,0)..S(n,n)
-
-
 def stirling2(n: int, k: int) -> int:
     """Stirling number of the second kind S(n, k)."""
     if n < 0 or k < 0:
         raise ValueError("stirling2 requires nonnegative arguments")
     if k > n:
         return 0
-    while len(_STIRLING_ROWS) <= n:
-        m = len(_STIRLING_ROWS)
-        prev = _STIRLING_ROWS[-1]
-        row = [0] * (m + 1)
-        for j in range(1, m + 1):
-            row[j] = j * (prev[j] if j < m else 0) + prev[j - 1]
-        _STIRLING_ROWS.append(row)
-    return _STIRLING_ROWS[n][k]
+    row = [1]  # S(m,0)..S(m,m)
+    for m in range(1, n + 1):
+        row = [0] + [j * row[j] + row[j - 1] for j in range(1, m)] + [1]
+    return row[k]
 
 
 def bell_mod_table(nmax: int, m: int) -> list[int]:

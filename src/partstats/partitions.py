@@ -95,6 +95,17 @@ def crossing_count(arcs: list) -> int:
     return sum(1 for e1, f1 in arcs for e2, f2 in arcs if e1 < e2 < f1 < f2)
 
 
+def canonical_rgs(labels: Iterable) -> tuple:
+    """Relabel by first occurrence: the RGS of the partition the labels induce."""
+    relabel: dict = {}
+    out = []
+    for v in labels:
+        if v not in relabel:
+            relabel[v] = len(relabel)
+        out.append(relabel[v])
+    return tuple(out)
+
+
 def from_blocks(blocks: Iterable[Iterable[int]]) -> SetPartition:
     """Canonical partition from disjoint blocks covering [n]."""
     blocks = [sorted(b) for b in blocks]
@@ -109,14 +120,7 @@ def from_blocks(blocks: Iterable[Iterable[int]]) -> SetPartition:
     n = len(elems)
     if n and (min(elems) != 1 or max(elems) != n):
         raise PartitionError("blocks must partition {1..n}, got elements %s" % sorted(elems))
-    rgs = []
-    relabel: dict = {}
-    for x in range(1, n + 1):
-        idx = elems[x]
-        if idx not in relabel:
-            relabel[idx] = len(relabel)
-        rgs.append(relabel[idx])
-    return SetPartition(rgs)
+    return SetPartition(canonical_rgs(elems[x] for x in range(1, n + 1)))
 
 
 def iter_rgs(n: int) -> Iterator[tuple]:

@@ -53,14 +53,6 @@ class ShiftedBellPolynomial:
                 items.append((int(j), poly))
         return cls(tuple(items))
 
-    @property
-    def lower_shift(self) -> int:
-        return self.coeffs[0][0] if self.coeffs else 0
-
-    @property
-    def upper_shift(self) -> int:
-        return self.coeffs[-1][0] if self.coeffs else 0
-
     def coefficient(self, j: int) -> tuple:
         for shift, poly in self.coeffs:
             if shift == j:
@@ -174,93 +166,68 @@ def profile_int(k: int) -> FitProfile:
     return FitProfile(tuple(shifts), tuple(bounds))
 
 
-def default_sample_points(profile: FitProfile, holdout: int = 3) -> list:
+HOLDOUT = 3  # trailing samples that fit() keeps out of the training rows
+
+
+def default_sample_points(profile: FitProfile) -> list:
     """Consecutive n values guaranteeing valid Bell indices and enough
-    equations: n0 = max(1, -min shift) through n0 + unknowns + holdout - 1."""
+    equations: n0 = max(1, -min shift) through n0 + unknowns + HOLDOUT - 1."""
     n0 = max(1, -profile.shifts[0])
-    return list(range(n0, n0 + profile.unknowns + holdout))
+    return list(range(n0, n0 + profile.unknowns + HOLDOUT))
 
 
-def fit(
-    samples: Iterable[tuple],
-    profile: FitProfile,
-    holdout: int = 3,
-) -> ShiftedBellPolynomial:
+def fit(samples: Iterable[tuple], profile: FitProfile) -> ShiftedBellPolynomial:
     """Solve exactly for the profile's coefficients from (n, value) samples.
 
-    The last ``holdout`` samples are excluded from the linear system and
-    must be reproduced exactly by the solution; a mismatch means the
-    profile cannot represent the aggregate.
+    One fraction-free Gauss-Jordan runs over the integer rows
+    ``n^e * B(n+j) * den(v) | num(v)``, training rows first.  The last
+    HOLDOUT samples must then be reproduced exactly; a mismatch means the
+    profile cannot represent the aggregate.  If the training rows leave a
+    coefficient free, held rows supply its pivot and the whole system must
+    be consistent instead.
     """
     samples = [(int(n), Fraction(v)) for n, v in samples]
-    if holdout < 1:
-        raise FitError("holdout must be at least 1")
     lo = profile.shifts[0]
     for n, _ in samples:
         if n + lo < 0:
             raise FitError("sample n=%d puts Bell index below zero for shift %d" % (n, lo))
     unknowns = [(j, e) for j, b in zip(profile.shifts, profile.degree_bounds) for e in range(b + 1)]
     m = len(unknowns)
-    train, held = samples[: len(samples) - holdout], samples[len(samples) - holdout:]
-    if len(train) < m:
-        raise FitError("insufficient sample points: %d unknowns, %d equations" % (m, len(train)))
-
-    def build_rows(points):
-        rows = []
-        for n, v in points:
-            row = [Fraction(n) ** e * bell(n + j) for j, e in unknowns]
-            row.append(v)
-            rows.append(row)
-        return rows
-
-    def solve(rows):
-        # exact Gaussian elimination; pivotless columns stay free (zero)
-        pivot_cols = []
-        r = 0
-        for col in range(m):
-            piv = None
-            for i in range(r, len(rows)):
-                if rows[i][col] != 0:
-                    piv = i
-                    break
-            if piv is None:
-                continue
-            rows[r], rows[piv] = rows[piv], rows[r]
-            inv = 1 / rows[r][col]
-            rows[r] = [x * inv for x in rows[r]]
-            for i in range(len(rows)):
-                if i != r and rows[i][col] != 0:
-                    f = rows[i][col]
-                    rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-            pivot_cols.append(col)
-            r += 1
-        for i in range(r, len(rows)):
-            if rows[i][-1] != 0:
-                raise FitError(
-                    "profile cannot represent the aggregate: inconsistent system"
-                )
-        solution = [Fraction(0)] * m
-        for i, col in enumerate(pivot_cols):
-            solution[col] = rows[i][-1]
-        return solution, len(pivot_cols)
-
-    solution, rank = solve(build_rows(train))
-    if rank < m:
-        # training points underdetermine the profile; fold the holdout
-        # equations into the system and require full consistency instead
-        solution, _ = solve(build_rows(samples))
-
+    train = max(0, len(samples) - HOLDOUT)
+    if train < m:
+        raise FitError("insufficient sample points: %d unknowns, %d equations" % (m, train))
+    rows = [[n ** e * bell(n + j) * v.denominator for j, e in unknowns] + [v.numerator]
+            for n, v in samples]
+    # Bareiss: each update divides exactly by the previous pivot; pivotless
+    # columns stay free (zero)
+    pivot_cols = []
+    trained = 0  # pivots taken from training rows
+    prev = 1
+    for col in range(m):
+        r = len(pivot_cols)
+        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        trained += piv < train
+        rows[r], rows[piv] = rows[piv], rows[r]
+        top, p = rows[r], rows[r][col]
+        for i, row in enumerate(rows):
+            if i != r:
+                f = row[col]
+                rows[i] = [(p * a - f * b) // prev for a, b in zip(row, top)]
+        prev = p
+        pivot_cols.append(col)
+    if trained < m:  # underdetermined training rows: held rows joined the system
+        train = len(rows)
+    if any(row[-1] for row in rows[len(pivot_cols):train]):
+        raise FitError("profile cannot represent the aggregate: inconsistent system")
+    for (n, _), row in zip(samples[train:], rows[train:]):
+        if row[-1]:
+            raise FitError("profile cannot represent the aggregate: holdout mismatch at n=%d" % n)
+    solution = [0] * m
+    for row, col in zip(rows, pivot_cols):
+        solution[col] = Fraction(row[-1], row[col])
     mapping: dict = {}
-    for (j, e), c in zip(unknowns, solution):
-        mapping.setdefault(j, [Fraction(0)] * 0)
-        poly = mapping[j]
-        while len(poly) <= e:
-            poly.append(Fraction(0))
-        poly[e] = c
-    result = ShiftedBellPolynomial.from_dict(mapping)
-    for n, v in held:
-        if result.evaluate(n) != v:
-            raise FitError(
-                "profile cannot represent the aggregate: holdout mismatch at n=%d" % n
-            )
-    return result
+    for (j, _), c in zip(unknowns, solution):
+        mapping.setdefault(j, []).append(c)
+    return ShiftedBellPolynomial.from_dict(mapping)

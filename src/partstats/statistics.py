@@ -17,7 +17,7 @@ from itertools import combinations
 from math import comb, lcm
 from typing import Iterable, Mapping
 
-from .partitions import SetPartition, enumerate_partitions, iter_rgs
+from .partitions import SetPartition, canonical_rgs, enumerate_partitions, iter_rgs
 
 
 class StatisticError(ValueError):
@@ -133,9 +133,6 @@ class WeightPolynomial:
     def total_degree(self) -> int:
         return max((sum(m) for m, _ in self.terms), default=0)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, WeightPolynomial)
@@ -153,16 +150,6 @@ class WeightPolynomial:
 # ---------------------------------------------------------------------------
 # patterns
 # ---------------------------------------------------------------------------
-
-def _canonical_rgs(labels: Iterable[int]) -> tuple:
-    relabel: dict = {}
-    out = []
-    for v in labels:
-        if v not in relabel:
-            relabel[v] = len(relabel)
-        out.append(relabel[v])
-    return tuple(out)
-
 
 @dataclass(frozen=True)
 class Pattern:
@@ -183,7 +170,7 @@ class Pattern:
 
     @classmethod
     def make(cls, k, equiv, firsts=(), lasts=(), arcs=(), consecutive=()) -> "Pattern":
-        equiv = _canonical_rgs(equiv)
+        equiv = canonical_rgs(equiv)
         if len(equiv) != k:
             raise StatisticError("equivalence must cover all %d positions" % k)
 
@@ -525,9 +512,9 @@ def merge_product(f1: SimpleStatistic, f2: SimpleStatistic) -> Statistic:
                 if len(set(m1) | set(m2)) != k3:
                     continue
                 for equiv in iter_rgs(k3):
-                    if _canonical_rgs(equiv[i - 1] for i in m1) != p1.equiv:
+                    if canonical_rgs(equiv[i - 1] for i in m1) != p1.equiv:
                         continue
-                    if _canonical_rgs(equiv[i - 1] for i in m2) != p2.equiv:
+                    if canonical_rgs(equiv[i - 1] for i in m2) != p2.equiv:
                         continue
                     firsts = {m1[i - 1] for i in p1.firsts} | {m2[i - 1] for i in p2.firsts}
                     lasts = {m1[i - 1] for i in p1.lasts} | {m2[i - 1] for i in p2.lasts}

@@ -3,10 +3,12 @@ import io
 import json
 import os
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from partstats import cli
 from partstats.cli import run
 from partstats.exactnum import bell
 from partstats.statistics import MAX_WEIGHT_DEGREE, MAX_WEIGHT_MONOMIALS
@@ -48,6 +50,19 @@ def test_brute_guard_and_force(capsys):
     code, _, err = invoke(capsys, "dist", "dim", "--n", "15", "--brute")
     assert code == 1
     assert err.startswith("error:") and "force" in err
+
+
+def test_dp_guard_and_force(capsys, monkeypatch):
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, "dist", "int", "--n", str(cli.DP_GUARD + 1))
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "force" in err and str(cli.DP_GUARD) in err
+    monkeypatch.setattr(cli, "DP_GUARD", 5)
+    assert invoke(capsys, "dist", "dim", "--n", "6")[0] == 1
+    assert invoke(capsys, "dist", "dim", "--n", "6", "--force")[:2] == invoke(
+        capsys, "dist", "dim", "--n", "6", "--brute"
+    )[:2]
 
 
 def test_moments_subcommand(capsys):

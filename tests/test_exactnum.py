@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import pytest
 from hypothesis import given, strategies as st
@@ -63,3 +65,34 @@ def test_bell_and_stirling_match_sympy():
     assert [bell(n) for n in range(301)] == [int(sympy.bell(n)) for n in range(301)]
     for n in range(41):
         assert [stirling2(n, k) for k in range(n + 1)] == [int(stirling(n, k)) for k in range(n + 1)]
+
+
+def test_stirling_concurrent_calls_agree():
+    # more threads than cores, released together and switched often, all
+    # build rows up to n = 400; each must get what one single-threaded call
+    # and the explicit formula give
+    n, ks = 400, [0, 1, 7, 200, 399, 400]
+    barrier = threading.Barrier(4)
+    results = [None] * 4
+
+    def work(t):
+        barrier.wait(timeout=30)
+        results[t] = [stirling2(n, k) for k in ks]
+
+    threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    expected = [stirling2(n, k) for k in ks]
+    assert expected == [
+        sum((-1) ** i * math.comb(k, i) * (k - i) ** n for i in range(k + 1)) // math.factorial(k)
+        for k in ks
+    ]
+    assert results == [expected] * 4

@@ -2,11 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from partstats.exactnum import bell
 from partstats.recursions import dim_moments_range, int_moments_range
 from partstats.shifted_bell import (
+    HOLDOUT,
     DomainError,
     FitError,
     FitProfile,
@@ -110,6 +111,13 @@ def test_fit_insufficient_points():
         fit([(n, moments[n][1]) for n in pts], profile)
 
 
+def test_fit_with_fewer_samples_than_the_holdout_is_insufficient():
+    profile = FitProfile((0,), (0,))
+    for samples in ([(1, 1), (2, 2)], [(1, 1), (2, 2), (3, 5)]):
+        with pytest.raises(FitError, match="insufficient"):
+            fit(samples, profile)
+
+
 def test_fit_wrong_profile_detected():
     # 2^n is not a shifted Bell polynomial with these shifts/degrees
     profile = profile_generic(1, 0)
@@ -133,3 +141,88 @@ def test_fit_roundtrip_random_polynomials(seed):
     fitted = fit([(n, truth.evaluate(n)) for n in pts], profile)
     for n in pts + [max(pts) + 1, max(pts) + 5]:
         assert fitted.evaluate(n) == truth.evaluate(n)
+
+
+def _sympy_fit(samples, profile):
+    """Reference fit: sympy rref on the training rows, then on all rows if
+    the training rows leave a coefficient free; free columns at zero.
+    Returns ("ok", canonical text) or ("error", message fragment)."""
+    sympy = pytest.importorskip("sympy")
+    unknowns = [(j, e) for j, b in zip(profile.shifts, profile.degree_bounds) for e in range(b + 1)]
+    m = len(unknowns)
+    train = len(samples) - HOLDOUT
+    if train < m:
+        return "error", "insufficient"
+
+    def solve(points):
+        rows = [
+            [n ** e * bell(n + j) for j, e in unknowns] + [sympy.Rational(v.numerator, v.denominator)]
+            for n, v in points
+        ]
+        reduced, pivots = sympy.Matrix(rows).rref()
+        if m in pivots:
+            return None, len(pivots)
+        x = [Fraction(0)] * m
+        for i, col in enumerate(pivots):
+            x[col] = Fraction(int(reduced[i, m].p), int(reduced[i, m].q))
+        return x, len(pivots)
+
+    x, rank = solve(samples[:train])
+    if x is not None and rank < m:
+        x, _ = solve(samples)
+    if x is None:
+        return "error", "inconsistent system"
+    mapping = {}
+    for (j, e), c in zip(unknowns, x):
+        mapping.setdefault(j, []).append(c)
+    poly = ShiftedBellPolynomial.from_dict(mapping)
+    for n, v in samples[train:]:
+        if poly.evaluate(n) != v:
+            return "error", "holdout mismatch at n=%d" % n
+    return "ok", poly.canonical_text()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 6))
+# seeds that reach each outcome: solved from training rows (0), with a held
+# pivot (25), with a free column (35); inconsistent with full training rank (3),
+# with a held pivot (120), with a free column (7); holdout mismatch (1);
+# insufficient (2)
+@example(0)
+@example(25)
+@example(35)
+@example(3)
+@example(120)
+@example(7)
+@example(1)
+@example(2)
+def test_fit_matches_sympy_reference(seed):
+    # random profiles and sample lists: duplicated n (rank-deficient
+    # training rows), short lists, perturbed values, too-small profiles
+    rng = random.Random(seed)
+    shifts = sorted(rng.sample(range(-2, 4), rng.randint(1, 3)))
+    bounds = [rng.randint(0, 2) for _ in shifts]
+    profile = FitProfile(tuple(shifts), tuple(bounds))
+    extra = rng.random() < 0.25  # truth of higher degree than the profile allows
+    truth = ShiftedBellPolynomial.from_dict({
+        j: [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(b + extra + 1)]
+        for j, b in zip(shifts, bounds)
+    })
+    n0, top = max(0, -shifts[0]), rng.randint(1, 8)
+    pts = default_sample_points(profile)
+    ns = [
+        pts,
+        [rng.randint(n0, n0 + top) for _ in range(rng.randint(1, profile.unknowns + 6))],
+        pts[: rng.randint(0, len(pts))],
+        rng.sample(pts + [rng.choice(pts) for _ in range(rng.randint(1, 3))], len(pts) + 1),
+    ][rng.randrange(4)]
+    samples = [(n, truth.evaluate(n)) for n in ns]
+    if samples and rng.random() < 0.3:
+        i = rng.randrange(len(samples))
+        samples[i] = (samples[i][0], samples[i][1] + Fraction(1, rng.randint(1, 3)))
+    kind, expected = _sympy_fit(samples, profile)
+    if kind == "ok":
+        assert fit(samples, profile).canonical_text() == expected
+    else:
+        with pytest.raises(FitError, match=expected):
+            fit(samples, profile)
