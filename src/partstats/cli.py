@@ -30,15 +30,11 @@ class CliError(Exception):
 
 
 def _write(args, text: str) -> None:
-    if getattr(args, "out", None):
-        _write_file(args.out, text)
-    else:
+    if not args.out:
         sys.stdout.write(text)
-
-
-def _write_file(path: str, text: str) -> None:
+        return
     try:
-        with open(path, "w") as fh:
+        with open(args.out, "w") as fh:
             fh.write(text)
     except OSError as e:
         raise CliError("cannot write output: %s" % e)
@@ -62,12 +58,25 @@ def _guard_n(n: int, force: bool, bound: int = BRUTE_GUARD, what: str = "brute-f
         raise CliError("n=%d exceeds the %s (%d%s); pass --force to override" % (n, what, bound, cost))
 
 
-def _csv(rows) -> str:
-    return "value,count\n" + "".join("%d,%d\n" % (v, c) for v, c in rows)
+def _csv(header: str, rows) -> str:
+    """``header`` and one ``a,b`` line per integer pair, printed in full.
+
+    The rows are computed, not read, so CPython's limit on the digits of an
+    int-to-str conversion (which guards parsing input) is lifted while they
+    are formatted: B_n has more than 4300 digits from n = 1981 on.
+    """
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return header + "\n" + "".join("%d,%d\n" % row for row in rows)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands. Each dim/int function is looked up on its module at call
+# time, so a wrapper bound onto the module later (perfbench's tracer, a test
+# spy) sees every call.
 # ---------------------------------------------------------------------------
 
 def _cmd_bell(args) -> None:
@@ -79,12 +88,7 @@ def _cmd_bell(args) -> None:
         values = bell_mod_table(args.max, args.mod)
     else:
         values = [bell(n) for n in range(args.max + 1)]
-    _write(args, "n,bell\n" + "".join("%d,%d\n" % (n, v) for n, v in enumerate(values)))
-
-
-def _histogram(n: int, value) -> Counter:
-    """Partitions of [n] counted by ``value``, by enumeration."""
-    return Counter(map(value, enumerate_partitions(n)))
+    _write(args, _csv("n,bell", enumerate(values)))
 
 
 def _cmd_dist(args) -> None:
@@ -94,28 +98,22 @@ def _cmd_dist(args) -> None:
         _guard_n(args.n, args.force)
         if args.target == "dim":
             d = statistics.builtin("dimension")
-            hist = _histogram(args.n, lambda lam: int(d.evaluate(lam)))
+            values = (int(d.evaluate(lam)) for lam in enumerate_partitions(args.n))
         else:
             # the oracle counts crossings directly, not through the evaluator
-            hist = _histogram(args.n, lambda lam: crossing_count(lam.arcs()))
+            values = (crossing_count(lam.arcs()) for lam in enumerate_partitions(args.n))
+        hist = Counter(values)
     else:
         _guard_n(args.n, args.force, DP_GUARD, "DP guard", "; " + DP_COST)
-        hist = (
-            recursions.dim_distribution(args.n)
-            if args.target == "dim"
-            else recursions.int_distribution(args.n)
-        )
-    _write(args, _csv(sorted(hist.items())))
+        hist = getattr(recursions, args.target + "_distribution")(args.n)
+    _write(args, _csv("value,count", sorted(hist.items())))
 
 
 def _cmd_moments(args) -> None:
     if args.n < 0 or args.k < 0:
         raise CliError("--n and --k must be nonnegative")
-    if args.target == "dim":
-        values = recursions.dim_moments(args.k, args.n)
-    else:
-        values = recursions.int_moments(args.k, args.n)
-    _write(args, "k,moment\n" + "".join("%d,%d\n" % (k, v) for k, v in enumerate(values)))
+    values = getattr(recursions, args.target + "_moments")(args.k, args.n)
+    _write(args, _csv("k,moment", enumerate(values)))
 
 
 def _cmd_eval(args) -> None:
@@ -138,14 +136,10 @@ def _cmd_aggregate(args) -> None:
 def _fit_target(target: str, k: int) -> shifted_bell.ShiftedBellPolynomial:
     if k < 1:
         raise CliError("--k must be at least 1")
-    profile = shifted_bell.profile_dim(k) if target == "dim" else shifted_bell.profile_int(k)
+    profile = getattr(shifted_bell, "profile_" + target)(k)
     points = shifted_bell.default_sample_points(profile)
-    if target == "dim":
-        moments = recursions.dim_moments_range(k, max(points))
-    else:
-        moments = recursions.int_moments_range(k, max(points))
-    samples = [(n, moments[n][k]) for n in points]
-    return shifted_bell.fit(samples, profile)
+    moments = getattr(recursions, target + "_moments_range")(k, max(points))
+    return shifted_bell.fit([(n, moments[n][k]) for n in points], profile)
 
 
 def _cmd_fit(args) -> None:
@@ -157,7 +151,10 @@ def _cmd_fit(args) -> None:
         pk = args.profile_k if args.profile_k is not None else max(
             (s.pattern.k for _, s in f.terms), default=0
         )
-        profile = shifted_bell.profile_generic(deg, pk)
+        try:
+            profile = shifted_bell.profile_generic(deg, pk)
+        except ValueError as e:
+            raise CliError("invalid profile: %s" % e)
         points = shifted_bell.default_sample_points(profile)
         _guard_n(max(points), args.force)
         samples = [(n, statistics.aggregate(f, n)) for n in points]
@@ -177,11 +174,7 @@ def _cmd_asym(args) -> None:
         raise CliError("--n must be at least 2")
     fitted = _fit_target(args.target, 1)
     exact_mean = Fraction(fitted.evaluate(n), bell(n))
-    mean_est = (
-        asymptotics.dim_moment_asym(n)[0]
-        if args.target == "dim"
-        else asymptotics.int_moment_asym(n)[0]
-    )
+    mean_est = getattr(asymptotics, args.target + "_moment_asym")(n)[0]
     a = asymptotics.alpha(n)
     lines = [
         "quantity,exact,asymptotic,rel_error",
@@ -197,41 +190,6 @@ def _cmd_asym(args) -> None:
             % (order, exact_log, est, abs(math.exp(est - exact_log) - 1.0))
         )
     _write(args, "\n".join(lines) + "\n")
-
-
-_PLOT_TEMPLATE = """\
-#!/usr/bin/env python3
-# Auto-generated histogram plot script.
-import csv
-
-import matplotlib
-
-matplotlib.use("Agg")
-import matplotlib.pyplot as plt
-
-values, counts = [], []
-with open({csv!r}) as fh:
-    for row in csv.DictReader(fh):
-        values.append(int(row["value"]))
-        counts.append(int(row["count"]))
-
-plt.figure(figsize=(8, 5))
-plt.bar(values, counts, width=0.9, color="steelblue")
-plt.xlabel("value")
-plt.ylabel("count")
-plt.title({title!r})
-plt.tight_layout()
-plt.savefig({png!r}, dpi=150)
-"""
-
-
-def _cmd_plot(args) -> None:
-    script = _PLOT_TEMPLATE.format(
-        csv=args.input,
-        title="distribution: %s" % args.input,
-        png=args.input.rsplit(".", 1)[0] + ".png",
-    )
-    _write_file(args.out, script)
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("bell", help="Bell numbers, optionally reduced mod M")
     sp.add_argument("--max", type=int, required=True)
     sp.add_argument("--mod", type=int, default=None)
-    sp.add_argument("--out")
     sp.set_defaults(func=_cmd_bell)
 
     sp = sub.add_parser("dist", help="exact distribution of dim or int exponent")
@@ -258,27 +215,23 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--brute", action="store_true", help="oracle path via enumeration")
     sp.add_argument("--force", action="store_true")
-    sp.add_argument("--out")
     sp.set_defaults(func=_cmd_dist)
 
     sp = sub.add_parser("moments", help="exact moments via the DP recursions")
     sp.add_argument("target", choices=["dim", "int"])
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--out")
     sp.set_defaults(func=_cmd_moments)
 
     sp = sub.add_parser("eval", help="evaluate a pattern statistic on one partition")
     sp.add_argument("--pattern", required=True)
     sp.add_argument("--partition", required=True)
-    sp.add_argument("--out")
     sp.set_defaults(func=_cmd_eval)
 
     sp = sub.add_parser("aggregate", help="sum a pattern statistic over all of Pi(n)")
     sp.add_argument("--pattern", required=True)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--force", action="store_true")
-    sp.add_argument("--out")
     sp.set_defaults(func=_cmd_aggregate)
 
     sp = sub.add_parser("fit", help="fit a shifted Bell polynomial")
@@ -288,20 +241,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--profile-degree", type=int, default=None)
     sp.add_argument("--profile-k", type=int, default=None)
     sp.add_argument("--force", action="store_true")
-    sp.add_argument("--out")
     sp.set_defaults(func=_cmd_fit)
 
     sp = sub.add_parser("asym", help="asymptotic vs exact comparison table")
     sp.add_argument("--target", choices=["dim", "int"], required=True)
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--out")
     sp.set_defaults(func=_cmd_asym)
 
-    sp = sub.add_parser("plot", help="emit a matplotlib script for a CSV histogram")
-    sp.add_argument("--input", required=True)
-    sp.add_argument("--out", required=True)
-    sp.set_defaults(func=_cmd_plot)
-
+    for sp in sub.choices.values():
+        sp.add_argument("--out")
     return p
 
 
@@ -311,10 +259,8 @@ def run(argv) -> int:
         args = parser.parse_args(argv)
         args.func(args)
         return 0
-    except CliError as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 1
-    except (StatisticError, PartitionError, shifted_bell.FitError, shifted_bell.DomainError) as e:
+    except (CliError, StatisticError, PartitionError, shifted_bell.FitError,
+            shifted_bell.DomainError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 1
     except BrokenPipeError:

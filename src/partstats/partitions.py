@@ -63,9 +63,6 @@ class SetPartition:
             last_seen[cls_id] = x
         return out
 
-    def same_block(self, i: int, j: int) -> bool:
-        return self.rgs[i - 1] == self.rgs[j - 1]
-
     def __eq__(self, other) -> bool:
         return isinstance(other, SetPartition) and self.rgs == other.rgs
 
@@ -80,14 +77,6 @@ class SetPartition:
             return ""
         sep = "," if self.n > 9 else ""
         return "|".join(sep.join(str(x) for x in b) for b in self.blocks())
-
-
-def block_extrema(lam: SetPartition):
-    """(firsts, lasts, mins, maxes): sets of extrema plus block-ordered lists."""
-    blocks = lam.blocks()
-    mins = [b[0] for b in blocks]
-    maxes = [b[-1] for b in blocks]
-    return set(mins), set(maxes), mins, maxes
 
 
 def crossing_count(arcs: list) -> int:

@@ -69,9 +69,6 @@ class ShiftedBellPolynomial:
             total += _poly_eval(poly, n) * bell(n + j)
         return total
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def canonical_text(self) -> str:
         """One deterministic line: ascending shifts, ascending powers of n."""
         if not self.coeffs:
@@ -91,15 +88,6 @@ class ShiftedBellPolynomial:
             chunks.append("j=%d: %s" % (j, " + ".join(parts).replace("+ -", "- ")))
         return " ; ".join(chunks)
 
-    def serialize(self) -> str:
-        """Line-oriented form: ``shift <j>: <c0> <c1> ...`` with exact rationals."""
-        if not self.coeffs:
-            return "shift 0: 0\n"
-        return "".join(
-            "shift %d: %s\n" % (j, " ".join(str(c) for c in poly))
-            for j, poly in self.coeffs
-        )
-
     def to_dict(self) -> dict:
         return {
             "shifts": [
@@ -117,6 +105,8 @@ class FitProfile:
     degree_bounds: tuple
 
     def __post_init__(self):
+        if not self.shifts:
+            raise ValueError("empty profile")
         if len(self.shifts) != len(self.degree_bounds):
             raise ValueError("profile shape mismatch")
         if any(b < 0 for b in self.degree_bounds):

@@ -2,13 +2,14 @@ import contextlib
 import io
 import json
 import os
+import sys
 import tempfile
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from partstats import cli
+from partstats import asymptotics, cli, recursions
 from partstats.cli import run
 from partstats.exactnum import bell
 from partstats.statistics import MAX_WEIGHT_DEGREE, MAX_WEIGHT_MONOMIALS
@@ -116,15 +117,43 @@ def test_asym_subcommand(capsys):
     assert float(row["mean"][3]) < 0.5
 
 
-def test_plot_emits_script(tmp_path, capsys):
-    csv = tmp_path / "hist.csv"
-    csv.write_text("value,count\n0,8\n1,4\n2,3\n")
-    out_path = tmp_path / "plot.py"
-    code, _, _ = invoke(capsys, "plot", "--input", str(csv), "--out", str(out_path))
-    assert code == 0
-    script = out_path.read_text()
-    assert "matplotlib" in script and str(csv) in script
-    compile(script, str(out_path), "exec")
+def test_bell_prints_numbers_beyond_the_int_str_limit(capsys):
+    # B_1990 has more than 4300 digits, CPython's default int-to-str limit
+    limit = sys.get_int_max_str_digits()
+    code, out, err = invoke(capsys, "bell", "--max", "1990")
+    assert code == 0 and err == ""
+    assert sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = "1990,%d" % bell(1990)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert out.splitlines()[-1] == expected
+
+
+def test_negative_profile_parameters_exit_one(tmp_path, capsys):
+    path = tmp_path / "singletons.json"
+    path.write_text(json.dumps({"length": 1, "blocks": [[1]], "firsts": [1], "lasts": [1], "q": "1"}))
+    for option, value in (("--profile-degree", "-1"), ("--profile-k", "-2")):
+        code, out, err = invoke(capsys, "fit", "--pattern", str(path), option, value)
+        assert code == 1 and out == "" and err.startswith("error: invalid profile")
+
+
+def test_dim_int_functions_are_looked_up_at_call_time(capsys, monkeypatch):
+    # perfbench's tracer rebinds module attributes; the CLI must see them
+    called = set()
+    for module, name in ((recursions, "dim_distribution"), (recursions, "int_moments"),
+                         (recursions, "dim_moments_range"), (recursions, "int_moments_range"),
+                         (asymptotics, "int_moment_asym")):
+        def spy(*args, _fn=getattr(module, name), _name=name):
+            called.add(_name)
+            return _fn(*args)
+        monkeypatch.setattr(module, name, spy)
+    for argv in (("dist", "dim", "--n", "5"), ("moments", "int", "--n", "5", "--k", "2"),
+                 ("fit", "--target", "dim"), ("asym", "--target", "int", "--n", "50")):
+        assert invoke(capsys, *argv)[0] == 0
+    assert called == {"dim_distribution", "int_moments", "dim_moments_range",
+                      "int_moments_range", "int_moment_asym"}
 
 
 def test_out_redirection(tmp_path, capsys):
@@ -138,10 +167,6 @@ def test_out_to_missing_directory_is_a_user_error(tmp_path, capsys):
     target = tmp_path / "missing" / "x.csv"
     code, out, err = invoke(capsys, "bell", "--max", "3", "--out", str(target))
     assert code == 1 and out == "" and err.startswith("error: cannot write output")
-    csv = tmp_path / "hist.csv"
-    csv.write_text("value,count\n0,1\n")
-    code, _, err = invoke(capsys, "plot", "--input", str(csv), "--out", str(target))
-    assert code == 1 and err.startswith("error: cannot write output")
 
 
 def test_deterministic_output(capsys):

@@ -6,7 +6,6 @@ from partstats.partitions import (
     MarkedSetPartition,
     PartitionError,
     SetPartition,
-    block_extrema,
     enumerate_partitions,
     from_blocks,
     iter_rgs,
@@ -74,11 +73,6 @@ def test_block_notation_roundtrip(rgs):
 def test_arcs_and_extrema():
     lam = parse_partition("1356|27|4")
     assert sorted(lam.arcs()) == [(1, 3), (2, 7), (3, 5), (5, 6)]
-    firsts, lasts, mins, maxes = block_extrema(lam)
-    assert firsts == {1, 2, 4}
-    assert lasts == {4, 6, 7}
-    assert mins == [1, 2, 4]
-    assert maxes == [6, 7, 4]
 
 
 @given(st.integers(min_value=0, max_value=8))
@@ -113,13 +107,6 @@ def test_marked_open_count_consistent():
         assert isinstance(mu, MarkedSetPartition)
         assert mu.open_count == sum(mu.open_flags)
         assert len(mu.open_flags) == mu.base.block_count
-
-
-def test_same_block():
-    lam = parse_partition("1356|27|4")
-    assert lam.same_block(1, 5)
-    assert lam.same_block(2, 7)
-    assert not lam.same_block(1, 4)
 
 
 def test_hash_and_equality():
