@@ -52,7 +52,6 @@ from .shifted_bell import (
 )
 from .statistics import (
     Pattern,
-    SimpleStatistic,
     Statistic,
     StatisticError,
     WeightPolynomial,
@@ -78,7 +77,6 @@ __all__ = [
     "PartitionError",
     "SetPartition",
     "ShiftedBellPolynomial",
-    "SimpleStatistic",
     "Statistic",
     "StatisticError",
     "WeightPolynomial",

@@ -143,13 +143,15 @@ def _fit_target(target: str, k: int) -> shifted_bell.ShiftedBellPolynomial:
 
 
 def _cmd_fit(args) -> None:
+    if args.target and args.pattern:
+        raise CliError("fit takes either --target or --pattern, not both")
     if args.target:
         result = _fit_target(args.target, args.k)
     elif args.pattern:
         f = _load_statistic(args.pattern)
         deg = args.profile_degree if args.profile_degree is not None else f.degree()
         pk = args.profile_k if args.profile_k is not None else max(
-            (s.pattern.k for _, s in f.terms), default=0
+            (p.k for p, _ in f.terms), default=0
         )
         try:
             profile = shifted_bell.profile_generic(deg, pk)
@@ -176,11 +178,12 @@ def _cmd_asym(args) -> None:
     exact_mean = Fraction(fitted.evaluate(n), bell(n))
     mean_est = getattr(asymptotics, args.target + "_moment_asym")(n)[0]
     a = asymptotics.alpha(n)
+    # the exact mean is 0 at small n (dim at n = 2, int at n <= 3)
+    rel = abs(mean_est / float(exact_mean) - 1.0) if exact_mean else math.inf
     lines = [
         "quantity,exact,asymptotic,rel_error",
         "alpha,%.12g,%.12g,0" % (a.alpha, a.alpha),
-        "mean,%.12g,%.12g,%.3e"
-        % (float(exact_mean), mean_est, abs(mean_est / float(exact_mean) - 1.0)),
+        "mean,%.12g,%.12g,%.3e" % (float(exact_mean), mean_est, rel),
     ]
     exact_log = asymptotics.log_bell_exact(n)
     for order in (0, 1, 2):

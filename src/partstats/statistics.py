@@ -1,10 +1,10 @@
 """Pattern-defined statistics on set partitions.
 
 A pattern is a template (equivalence on [k], firsts, lasts, arcs,
-consecutivity); a simple statistic sums a polynomial weight over all
-occurrences of its pattern; a statistic is a rational linear combination
-of simple statistics.  Products of statistics are again statistics via
-pattern merges, which keeps the whole collection a filtered algebra.
+consecutivity); a statistic sums, for each of its distinct patterns, one
+rational weight polynomial over all occurrences of that pattern.  Products
+of statistics are again statistics via pattern merges, which keeps the
+whole collection a filtered algebra.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ class WeightPolynomial:
     """Polynomial in y_1..y_k and m with rational coefficients.
 
     Monomials are keyed by (e_1, .., e_k, e_m); the mapping is kept in
-    canonical sorted form so equal polynomials hash equal.
+    canonical sorted form so equal polynomials compare equal.
     """
 
     __slots__ = ("k", "terms")
@@ -139,9 +139,6 @@ class WeightPolynomial:
             and self.k == other.k
             and self.terms == other.terms
         )
-
-    def __hash__(self) -> int:
-        return hash((self.k, self.terms))
 
     def __repr__(self) -> str:
         return "WeightPolynomial(k=%d, %r)" % (self.k, dict(self.terms))
@@ -358,29 +355,22 @@ def occurrences(p: Pattern, lam: SetPartition) -> list:
 class _Program:
     """A statistic compiled for evaluation.
 
-    Terms on the same pattern share one search, their weights summed;
-    every weight coefficient is an integer over the common denominator
+    Every weight coefficient is an integer over the common denominator
     ``den``.  ``at(n)`` fixes the ground size m = n into the weights.
     """
 
     __slots__ = ("den", "patterns", "_at")
 
     def __init__(self, f: "Statistic"):
-        by_pattern: dict = {}
-        for c, s in f.terms:
-            acc = by_pattern.setdefault(s.pattern, {})
-            for mono, qc in s.q.terms:
-                acc[mono] = acc.get(mono, 0) + c * qc
-        self.den = lcm(*(v.denominator for acc in by_pattern.values() for v in acc.values()))
+        self.den = lcm(*(c.denominator for _, q in f.terms for _, c in q.terms))
         self.patterns = []
-        for p, acc in by_pattern.items():
+        for p, q in f.terms:
             steps = _steps(p)
-            monos = [
-                (int(v * self.den), tuple((i, e) for i, e in enumerate(mono[:-1]) if e), mono[-1])
-                for mono, v in acc.items()
-                if v
-            ]
-            if steps is not None and monos:
+            if steps is not None:
+                monos = [
+                    (int(c * self.den), tuple((i, e) for i, e in enumerate(mono[:-1]) if e), mono[-1])
+                    for mono, c in q.terms
+                ]
                 self.patterns.append((p.k, steps, monos))
         self._at = (None, None)
 
@@ -415,39 +405,28 @@ class _Program:
 # statistics
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SimpleStatistic:
-    pattern: Pattern
-    q: WeightPolynomial
-
-    def __post_init__(self):
-        if self.q.k != self.pattern.k:
-            raise StatisticError("weight polynomial arity != pattern length")
-
-    def evaluate(self, lam: SetPartition) -> Fraction:
-        return Statistic([(1, self)]).evaluate(lam)
-
-    def degree(self) -> int:
-        return self.pattern.k + self.q.total_degree()
-
-
 class Statistic:
-    """A finite rational linear combination of simple statistics."""
+    """For each pattern, its weight polynomial summed over its occurrences;
+    the statistic is the sum over its patterns.
+
+    ``terms`` holds one ``(Pattern, WeightPolynomial)`` pair per distinct
+    pattern: weights given on an equal pattern add, and zero weights drop.
+    """
 
     __slots__ = ("terms", "_program")
 
     def __init__(self, terms: Iterable[tuple]):
         acc: dict = {}
-        for c, s in terms:
-            c = Fraction(c)
-            if c:
-                acc[s] = acc.get(s, Fraction(0)) + c
-        self.terms = tuple((c, s) for s, c in acc.items() if c)
+        for p, q in terms:
+            if q.k != p.k:
+                raise StatisticError("weight polynomial arity != pattern length")
+            acc[p] = acc[p] + q if p in acc else q
+        self.terms = tuple((p, q) for p, q in acc.items() if q.terms)
         self._program = None
 
     @classmethod
     def simple(cls, pattern: Pattern, q: WeightPolynomial) -> "Statistic":
-        return cls([(Fraction(1), SimpleStatistic(pattern, q))])
+        return cls([(pattern, q)])
 
     def _compiled(self) -> _Program:
         if self._program is None:
@@ -459,24 +438,19 @@ class Statistic:
         return Fraction(prog.total(lam.rgs), prog.den)
 
     def degree(self) -> int:
-        return max((s.degree() for _, s in self.terms), default=0)
+        return max((p.k + q.total_degree() for p, q in self.terms), default=0)
 
     def __add__(self, other: "Statistic") -> "Statistic":
-        return Statistic(list(self.terms) + list(other.terms))
+        return Statistic(self.terms + other.terms)
 
     def __sub__(self, other: "Statistic") -> "Statistic":
         return self + other.scaled(-1)
 
     def scaled(self, c) -> "Statistic":
-        c = Fraction(c)
-        return Statistic([(c * c0, s) for c0, s in self.terms])
+        return Statistic([(p, q.scaled(c)) for p, q in self.terms])
 
     def __mul__(self, other: "Statistic") -> "Statistic":
-        out = []
-        for c1, s1 in self.terms:
-            for c2, s2 in other.terms:
-                out.extend(merge_product(s1, s2).scaled(c1 * c2).terms)
-        return Statistic(out)
+        return merge_product(self, other)
 
     def __repr__(self) -> str:
         return "Statistic(<%d terms, degree %d>)" % (len(self.terms), self.degree())
@@ -489,23 +463,34 @@ def aggregate(f: Statistic, n: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# merges: pointwise products of simple statistics
+# merges: pointwise products of statistics
 # ---------------------------------------------------------------------------
 
-def merge_product(f1: SimpleStatistic, f2: SimpleStatistic) -> Statistic:
-    """A statistic equal to the pointwise product f1 * f2 everywhere.
+def merge_product(f: Statistic, g: Statistic) -> Statistic:
+    """A statistic equal to the pointwise product f * g everywhere.
 
-    Enumerates every merge of the two patterns onto a target of length
-    max(k1,k2)..k1+k2: a pair of strictly increasing index maps whose
-    images cover the target, together with every target equivalence
-    whose pullbacks along the maps reproduce the source equivalences.
-    Firsts/lasts/arcs/consecutivity of the target are the induced
-    unions; weights multiply after variable relabeling.  Contradictory
-    targets are kept (they contribute zero occurrences).
+    Each pair of patterns merges onto its targets (see ``_merges``); a
+    target's weight is the product of the two weights after variable
+    relabeling.  Contradictory targets are kept (they contribute zero
+    occurrences).
     """
-    p1, p2 = f1.pattern, f2.pattern
-    k1, k2 = p1.k, p2.k
     out = []
+    for p1, q1 in f.terms:
+        for p2, q2 in g.terms:
+            for p3, m1, m2 in _merges(p1, p2):
+                out.append((p3, q1.relabeled(m1, p3.k) * q2.relabeled(m2, p3.k)))
+    return Statistic(out)
+
+
+def _merges(p1: Pattern, p2: Pattern):
+    """Yield every merge ``(target, m1, m2)`` of two patterns.
+
+    The target has length max(k1,k2)..k1+k2; ``m1`` and ``m2`` are strictly
+    increasing index maps whose images cover it, and the target equivalence
+    pulls back along them to the source equivalences.  Firsts/lasts/arcs/
+    consecutivity of the target are the induced unions.
+    """
+    k1, k2 = p1.k, p2.k
     for k3 in range(max(k1, k2), k1 + k2 + 1):
         for m1 in combinations(range(1, k3 + 1), k1):
             for m2 in combinations(range(1, k3 + 1), k2):
@@ -530,9 +515,7 @@ def merge_product(f1: SimpleStatistic, f2: SimpleStatistic) -> Statistic:
                         # arc joining inequivalent target positions: such a
                         # merge target has no occurrences anywhere, skip
                         continue
-                    q3 = f1.q.relabeled(m1, k3) * f2.q.relabeled(m2, k3)
-                    out.append((Fraction(1), SimpleStatistic(p3, q3)))
-    return Statistic(out)
+                    yield p3, m1, m2
 
 
 # ---------------------------------------------------------------------------
@@ -746,7 +729,7 @@ def _pairs(doc: dict, key: str) -> list:
 
 
 def pattern_from_dict(doc: dict) -> Statistic:
-    """Build a simple statistic from a DSL document (parsed JSON object)."""
+    """Build a one-pattern statistic from a DSL document (parsed JSON object)."""
     k = doc.get("length")
     if type(k) is not int or k < 0:
         raise StatisticError("pattern document needs a nonnegative integer 'length'")

@@ -117,6 +117,33 @@ def test_asym_subcommand(capsys):
     assert float(row["mean"][3]) < 0.5
 
 
+@pytest.mark.parametrize("target,n", [("dim", 2), ("int", 2), ("int", 3)])
+def test_asym_where_the_exact_mean_is_zero(capsys, target, n):
+    code, out, err = invoke(capsys, "asym", "--target", target, "--n", str(n))
+    assert code == 0 and err == ""
+    row = {line.split(",")[0]: line.split(",") for line in out.splitlines()[1:]}
+    assert row["mean"][1] == "0" and row["mean"][3] == "inf"
+
+
+def test_fit_target_and_pattern_together_exit_one(tmp_path, capsys):
+    path = tmp_path / "singletons.json"
+    path.write_text(json.dumps({"length": 1, "blocks": [[1]], "firsts": [1], "lasts": [1], "q": "1"}))
+    code, out, err = invoke(capsys, "fit", "--target", "dim", "--pattern", str(path))
+    assert code == 1 and out == ""
+    assert err == "error: fit takes either --target or --pattern, not both\n"
+
+
+@pytest.mark.parametrize("q", ["0", "y1 - y1", "y6*m - m*y6"])
+def test_zero_weight_document_fits_to_zero(tmp_path, capsys, q):
+    # the weight vanishes, so the statistic has no terms and degree 0
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({"length": 6, "blocks": [[1, 2, 3, 4, 5, 6]], "q": q}))
+    code, out, err = invoke(capsys, "fit", "--pattern", str(path))
+    assert code == 0 and err == ""
+    assert out == '0\n{"shifts": []}\n'
+    assert invoke(capsys, "aggregate", "--pattern", str(path), "--n", "7")[:2] == (0, "0\n")
+
+
 def test_bell_prints_numbers_beyond_the_int_str_limit(capsys):
     # B_1990 has more than 4300 digits, CPython's default int-to-str limit
     limit = sys.get_int_max_str_digits()

@@ -30,7 +30,7 @@ def test_dimension_of_worked_example():
 def test_crossings2_occurrence():
     cr2 = builtin("crossings_k", k=2)
     assert cr2.evaluate(LAM) == 1
-    p = next(s.pattern for _, s in cr2.terms)
+    (p, _), = cr2.terms
     assert occurrences(p, LAM) == [(1, 2, 3, 7)]
 
 
@@ -132,6 +132,43 @@ def test_weight_polynomial_rationals():
     assert (q * y).evaluate((6,), 1) == 2
 
 
+# --- one weight per pattern -------------------------------------------------
+
+def test_equal_patterns_collapse_to_one_term():
+    p = Pattern.make(1, [0], firsts=[1])
+    y1 = WeightPolynomial.variable(1, 1)
+    two = WeightPolynomial.constant(1, 2)
+    f = Statistic([(p, y1), (p, two)])
+    assert f.terms == ((p, y1 + two),)
+    # blocks and firsts_sum share the pattern "a block minimum"
+    blocks, firsts_sum = builtin("blocks"), builtin("firsts_sum")
+    assert (blocks + firsts_sum).terms == ((p, y1 + WeightPolynomial.constant(1, 1)),)
+    for lam in enumerate_partitions(5):
+        assert f.evaluate(lam) == firsts_sum.evaluate(lam) + 2 * blocks.evaluate(lam)
+
+
+def test_difference_with_itself_has_no_terms():
+    for f in (builtin("dimension"), builtin("nestings"), builtin("blocks").scaled(Fraction(2, 3))):
+        zero = f - f
+        assert zero.terms == ()
+        assert zero.degree() == 0
+        assert aggregate(zero, 5) == 0
+        assert zero.evaluate(LAM) == 0
+    assert builtin("levels").scaled(0).terms == ()
+
+
+def test_dimension_has_one_term_per_pattern():
+    d = builtin("dimension")
+    assert len(d.terms) == 3
+    assert len({p for p, _ in d.terms}) == 3
+    assert all(q.terms for _, q in d.terms)
+
+
+def test_weight_arity_must_match_pattern_length():
+    with pytest.raises(StatisticError):
+        Statistic([(Pattern.make(1, [0]), WeightPolynomial.constant(2, 1))])
+
+
 # --- merge products ----------------------------------------------------------
 
 def _pointwise_product_check(f1: Statistic, f2: Statistic, nmax: int = 6):
@@ -182,8 +219,7 @@ def test_merge_product_degree_bound():
 
 
 def test_merge_product_simple_interface():
-    (c1, s1), = builtin("blocks").terms
-    out = merge_product(s1, s1)
+    out = merge_product(builtin("blocks"), builtin("blocks"))
     lam = parse_partition("12|3")
     assert out.evaluate(lam) == 4
 
