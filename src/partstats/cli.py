@@ -55,6 +55,12 @@ def _load_statistic(path: str) -> statistics.Statistic:
 def _guard_n(n: int, force: bool, bound: int = BRUTE_GUARD, what: str = "brute-force guard",
              cost: str = "") -> None:
     if n > bound and not force:
+        if not cost:  # brute force visits all B_n partitions; never compute B_n here
+            try:
+                log10_bell = asymptotics.log_bell_asym(n).log_value / math.log(10)
+                cost = "; about 10^%.1f partitions" % log10_bell
+            except OverflowError:  # ln B_n overflows a float only from n > 10^305 on
+                cost = "; over 10^(10^300) partitions"
         raise CliError("n=%d exceeds the %s (%d%s); pass --force to override" % (n, what, bound, cost))
 
 

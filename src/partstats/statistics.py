@@ -13,11 +13,11 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import comb, lcm
 from typing import Iterable, Mapping
 
-from .partitions import SetPartition, canonical_rgs, enumerate_partitions, iter_rgs
+from .partitions import SetPartition, canonical_rgs, enumerate_partitions
 
 
 class StatisticError(ValueError):
@@ -485,37 +485,35 @@ def merge_product(f: Statistic, g: Statistic) -> Statistic:
 def _merges(p1: Pattern, p2: Pattern):
     """Yield every merge ``(target, m1, m2)`` of two patterns.
 
-    The target has length max(k1,k2)..k1+k2; ``m1`` and ``m2`` are strictly
-    increasing index maps whose images cover it, and the target equivalence
-    pulls back along them to the source equivalences.  Firsts/lasts/arcs/
-    consecutivity of the target are the induced unions.
+    ``m1`` and ``m2`` are strictly increasing index maps into [k3] whose
+    images cover it, k3 = max(k1,k2)..k1+k2.  Each class of ``p2`` joins a
+    distinct class of ``p1`` (the one on every position they share) or stays
+    its own; firsts/lasts/arcs/consecutivity are the induced unions.  Map
+    pairs come in lexicographic order, each pair's targets in RGS order.
     """
     k1, k2 = p1.k, p2.k
+    r1, r2 = len(set(p1.equiv)), len(set(p2.equiv))
+    # a join is injective iff no two p2 classes take the same p1 class
+    joins = [j for j in product(*([*range(r1), r1 + c] for c in range(r2))) if len(set(j)) == r2]
     for k3 in range(max(k1, k2), k1 + k2 + 1):
         for m1 in combinations(range(1, k3 + 1), k1):
-            for m2 in combinations(range(1, k3 + 1), k2):
-                if len(set(m1) | set(m2)) != k3:
-                    continue
-                for equiv in iter_rgs(k3):
-                    if canonical_rgs(equiv[i - 1] for i in m1) != p1.equiv:
-                        continue
-                    if canonical_rgs(equiv[i - 1] for i in m2) != p2.equiv:
-                        continue
-                    firsts = {m1[i - 1] for i in p1.firsts} | {m2[i - 1] for i in p2.firsts}
-                    lasts = {m1[i - 1] for i in p1.lasts} | {m2[i - 1] for i in p2.lasts}
-                    arcs = {(m1[a - 1], m1[b - 1]) for a, b in p1.arcs} | {
-                        (m2[a - 1], m2[b - 1]) for a, b in p2.arcs
-                    }
-                    cons = {(m1[a - 1], m1[b - 1]) for a, b in p1.consecutive} | {
-                        (m2[a - 1], m2[b - 1]) for a, b in p2.consecutive
-                    }
-                    try:
-                        p3 = Pattern.make(k3, equiv, firsts, lasts, arcs, cons)
-                    except StatisticError:
-                        # arc joining inequivalent target positions: such a
-                        # merge target has no occurrences anywhere, skip
-                        continue
-                    yield p3, m1, m2
+            at1 = dict(zip(m1, p1.equiv))
+            rest = tuple(t for t in range(1, k3 + 1) if t not in at1)
+            for shared in combinations(m1, k1 + k2 - k3):
+                m2 = tuple(sorted(shared + rest))
+                at2 = dict(zip(m2, p2.equiv))
+                equivs = [
+                    canonical_rgs(at1[t] if t in at1 else join[at2[t]] for t in range(1, k3 + 1))
+                    for join in joins
+                    if all(join[at2[t]] == at1[t] for t in shared)
+                ]
+                sides = ((p1, m1), (p2, m2))
+                firsts = {m[i - 1] for p, m in sides for i in p.firsts}
+                lasts = {m[i - 1] for p, m in sides for i in p.lasts}
+                arcs = {(m[a - 1], m[b - 1]) for p, m in sides for a, b in p.arcs}
+                cons = {(m[a - 1], m[b - 1]) for p, m in sides for a, b in p.consecutive}
+                for equiv in sorted(equivs):
+                    yield Pattern.make(k3, equiv, firsts, lasts, arcs, cons), m1, m2
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,13 @@ def test_brute_guard_and_force(capsys):
     code, _, err = invoke(capsys, "dist", "dim", "--n", "15", "--brute")
     assert code == 1
     assert err.startswith("error:") and "force" in err
+    assert "(14; about 10^9.1 partitions)" in err  # B_15 = 1,382,958,545
+    # the estimate is O(1) in n, and stays a user error past float range
+    for n in ("100000", "1" + "0" * 400):
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, "dist", "dim", "--n", n, "--brute")
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and out == "" and "partitions); pass --force" in err
 
 
 def test_dp_guard_and_force(capsys, monkeypatch):

@@ -11,11 +11,13 @@ from itertools import combinations
 from hypothesis import given, settings, strategies as st
 
 from partstats.exactnum import bell
-from partstats.partitions import enumerate_partitions
+from partstats.partitions import canonical_rgs, enumerate_partitions, iter_rgs
 from partstats.statistics import (
     Pattern,
     Statistic,
+    StatisticError,
     WeightPolynomial,
+    _merges,
     aggregate,
     builtin,
     merge_product,
@@ -141,6 +143,70 @@ def test_random_merge_products_match_reference(f1, f2):
     for n in range(6):
         for lam in PARTITIONS[n]:
             assert f3.evaluate(lam) == f1.evaluate(lam) * f2.evaluate(lam)
+
+
+# --- merge targets ---------------------------------------------------------------
+
+def _merges_by_sweep(p1: Pattern, p2: Pattern):
+    """The generate-and-test reference for ``_merges``: every pair of index
+    maps that covers the target, every RGS of the target length, kept when
+    both pullbacks are the source equivalences."""
+    k1, k2 = p1.k, p2.k
+    for k3 in range(max(k1, k2), k1 + k2 + 1):
+        for m1 in combinations(range(1, k3 + 1), k1):
+            for m2 in combinations(range(1, k3 + 1), k2):
+                if len(set(m1) | set(m2)) != k3:
+                    continue
+                for equiv in iter_rgs(k3):
+                    if canonical_rgs(equiv[i - 1] for i in m1) != p1.equiv:
+                        continue
+                    if canonical_rgs(equiv[i - 1] for i in m2) != p2.equiv:
+                        continue
+                    firsts = {m1[i - 1] for i in p1.firsts} | {m2[i - 1] for i in p2.firsts}
+                    lasts = {m1[i - 1] for i in p1.lasts} | {m2[i - 1] for i in p2.lasts}
+                    arcs = {(m1[a - 1], m1[b - 1]) for a, b in p1.arcs} | {
+                        (m2[a - 1], m2[b - 1]) for a, b in p2.arcs
+                    }
+                    cons = {(m1[a - 1], m1[b - 1]) for a, b in p1.consecutive} | {
+                        (m2[a - 1], m2[b - 1]) for a, b in p2.consecutive
+                    }
+                    try:
+                        p3 = Pattern.make(k3, equiv, firsts, lasts, arcs, cons)
+                    except StatisticError:
+                        # arc joining inequivalent target positions: such a
+                        # merge target has no occurrences anywhere, skip
+                        continue
+                    yield p3, m1, m2
+
+
+# the distinct patterns of the builtin catalogue up to length 4; dimension
+# brings the blocks, firsts_sum and lasts_sum patterns and the empty one
+BUILTIN_PATTERNS = list(
+    dict.fromkeys(
+        p
+        for f in [
+            *(builtin("blocks_choose", k=k) for k in (2, 3)),
+            *(builtin("blocks_of_size", i=i) for i in (1, 2, 3)),
+            *(builtin("crossings_k", k=k) for k in (1, 2)),
+            builtin("nestings"),
+            builtin("levels"),
+            builtin("dimension"),
+        ]
+        for p, _ in f.terms
+    )
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(patterns(), patterns())
+def test_merges_match_sweep(p1, p2):
+    assert list(_merges(p1, p2)) == list(_merges_by_sweep(p1, p2))
+
+
+def test_merges_of_builtin_patterns_match_sweep():
+    for p1 in BUILTIN_PATTERNS:
+        for p2 in BUILTIN_PATTERNS:
+            assert list(_merges(p1, p2)) == list(_merges_by_sweep(p1, p2))
 
 
 # --- edge cases ------------------------------------------------------------------

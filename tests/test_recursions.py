@@ -11,7 +11,7 @@ from partstats.recursions import (
     marked_dimension,
     marked_intertwining,
 )
-from partstats.statistics import builtin
+from partstats.statistics import aggregate, builtin
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796, 58786, 208012, 742900, 2674440]
 
@@ -90,6 +90,20 @@ def test_int_moments_match_enumeration():
             for k in range(4)
         ]
         assert int_moments(3, n) == brute
+
+
+def test_merge_product_aggregates_match_moments():
+    # the third oracle: powers of a statistic built by pattern merges, summed
+    # over all partitions, against the exponent DP's moments
+    d = builtin("dimension")
+    cr2 = builtin("crossings_k", k=2)
+    d2, cr2sq = d * d, cr2 * cr2
+    d3 = d2 * d
+    for n in range(8):
+        dim = dim_moments(3, n)
+        assert aggregate(d2, n) == dim[2]
+        assert aggregate(d3, n) == dim[3]
+        assert aggregate(cr2sq, n) == int_moments(2, n)[2]
 
 
 def test_moments_range_prefix_consistency():
