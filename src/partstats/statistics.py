@@ -155,7 +155,8 @@ class Pattern:
     ``equiv`` is stored as a canonical RGS over positions; the four
     position sets are sorted tuples with 1-indexed entries.  A pattern
     whose constraints are unsatisfiable (e.g. nonconsecutive entries in
-    ``consecutive``) is legal and simply has no occurrences.
+    ``consecutive``) is legal; it has no occurrences, and no ``Statistic``
+    keeps it.
     """
 
     k: int
@@ -352,35 +353,48 @@ def occurrences(p: Pattern, lam: SetPartition) -> list:
     return out
 
 
-class _Program:
-    """A statistic compiled for evaluation.
+# ---------------------------------------------------------------------------
+# statistics
+# ---------------------------------------------------------------------------
 
-    Every weight coefficient is an integer over the common denominator
-    ``den``.  ``at(n)`` fixes the ground size m = n into the weights.
+class Statistic:
+    """For each pattern, its weight polynomial summed over its occurrences;
+    the statistic is the sum over its patterns.
+
+    ``terms`` holds one ``(Pattern, WeightPolynomial)`` pair per distinct
+    pattern that can occur: weights given on an equal pattern add, and zero
+    weights and patterns whose constraints cannot hold together drop.  The
+    statistic is compiled as it is built: each term keeps its step table and
+    its weight as integer coefficients over the common denominator ``_den``.
     """
 
-    __slots__ = ("den", "patterns", "_at")
+    __slots__ = ("terms", "_den", "_tables", "_folded")
 
-    def __init__(self, f: "Statistic"):
-        self.den = lcm(*(c.denominator for _, q in f.terms for _, c in q.terms))
-        self.patterns = []
-        for p, q in f.terms:
-            steps = _steps(p)
-            if steps is not None:
-                monos = [
-                    (int(c * self.den), tuple((i, e) for i, e in enumerate(mono[:-1]) if e), mono[-1])
-                    for mono, c in q.terms
-                ]
-                self.patterns.append((p.k, steps, monos))
-        self._at = (None, None)
+    def __init__(self, terms: Iterable[tuple]):
+        acc: dict = {}
+        for p, q in terms:
+            if q.k != p.k:
+                raise StatisticError("weight polynomial arity != pattern length")
+            acc[p] = acc[p] + q if p in acc else q
+        steps = {p: _steps(p) for p, q in acc.items() if q.terms}
+        self.terms = tuple((p, acc[p]) for p, s in steps.items() if s is not None)
+        self._den = den = lcm(*(c.denominator for _, q in self.terms for _, c in q.terms))
+        self._tables = [
+            (p.k, steps[p], [
+                (int(c * den), tuple((i, e) for i, e in enumerate(mono[:-1]) if e), mono[-1])
+                for mono, c in q.terms
+            ])
+            for p, q in self.terms
+        ]
+        self._folded = (None, None)
 
-    def at(self, n: int) -> list:
+    def _weights_at(self, n: int) -> list:
         """``[(steps, weight)]`` for partitions of [n], in the form
         ``_search`` takes; patterns longer than n and zero weights drop out."""
-        last_n, program = self._at
+        last_n, folded_terms = self._folded
         if n != last_n:
-            program = []
-            for k, steps, monos in self.patterns:
+            folded_terms = []
+            for k, steps, monos in self._tables:
                 if k > n:
                     continue
                 folded: dict = {}
@@ -391,51 +405,17 @@ class _Program:
                     continue
                 if len(weight) == 1 and not weight[0][1]:
                     weight = weight[0][0]
-                program.append((steps, weight))
-            self._at = (n, program)
-        return program
+                folded_terms.append((steps, weight))
+            self._folded = (n, folded_terms)
+        return folded_terms
 
-    def total(self, rgs: tuple) -> int:
-        """The statistic times ``den`` on the partition with this RGS."""
+    def _total(self, rgs: tuple) -> int:
+        """The statistic times ``_den`` on the partition with this RGS."""
         views = _views(rgs)
-        return sum(_occurrence_total(steps, w, views) for steps, w in self.at(len(rgs)))
-
-
-# ---------------------------------------------------------------------------
-# statistics
-# ---------------------------------------------------------------------------
-
-class Statistic:
-    """For each pattern, its weight polynomial summed over its occurrences;
-    the statistic is the sum over its patterns.
-
-    ``terms`` holds one ``(Pattern, WeightPolynomial)`` pair per distinct
-    pattern: weights given on an equal pattern add, and zero weights drop.
-    """
-
-    __slots__ = ("terms", "_program")
-
-    def __init__(self, terms: Iterable[tuple]):
-        acc: dict = {}
-        for p, q in terms:
-            if q.k != p.k:
-                raise StatisticError("weight polynomial arity != pattern length")
-            acc[p] = acc[p] + q if p in acc else q
-        self.terms = tuple((p, q) for p, q in acc.items() if q.terms)
-        self._program = None
-
-    @classmethod
-    def simple(cls, pattern: Pattern, q: WeightPolynomial) -> "Statistic":
-        return cls([(pattern, q)])
-
-    def _compiled(self) -> _Program:
-        if self._program is None:
-            self._program = _Program(self)
-        return self._program
+        return sum(_occurrence_total(steps, w, views) for steps, w in self._weights_at(len(rgs)))
 
     def evaluate(self, lam: SetPartition) -> Fraction:
-        prog = self._compiled()
-        return Fraction(prog.total(lam.rgs), prog.den)
+        return Fraction(self._total(lam.rgs), self._den)
 
     def degree(self) -> int:
         return max((p.k + q.total_degree() for p, q in self.terms), default=0)
@@ -458,8 +438,7 @@ class Statistic:
 
 def aggregate(f: Statistic, n: int) -> Fraction:
     """Exact sum of f over all partitions of [n]."""
-    prog = f._compiled()
-    return Fraction(sum(prog.total(lam.rgs) for lam in enumerate_partitions(n)), prog.den)
+    return Fraction(sum(f._total(lam.rgs) for lam in enumerate_partitions(n)), f._den)
 
 
 # ---------------------------------------------------------------------------
@@ -471,14 +450,15 @@ def merge_product(f: Statistic, g: Statistic) -> Statistic:
 
     Each pair of patterns merges onto its targets (see ``_merges``); a
     target's weight is the product of the two weights after variable
-    relabeling.  Contradictory targets are kept (they contribute zero
-    occurrences).
+    relabeling.  A target whose constraints cannot hold together has no
+    occurrences, so its weight is never built.
     """
     out = []
     for p1, q1 in f.terms:
         for p2, q2 in g.terms:
             for p3, m1, m2 in _merges(p1, p2):
-                out.append((p3, q1.relabeled(m1, p3.k) * q2.relabeled(m2, p3.k)))
+                if _steps(p3) is not None:
+                    out.append((p3, q1.relabeled(m1, p3.k) * q2.relabeled(m2, p3.k)))
     return Statistic(out)
 
 
@@ -528,40 +508,38 @@ def builtin(name: str, **params) -> Statistic:
     """
     if name == "blocks":
         p = Pattern.make(1, [0], firsts=[1])
-        return Statistic.simple(p, WeightPolynomial.constant(1, 1))
+        return Statistic([(p, WeightPolynomial.constant(1, 1))])
     if name == "blocks_choose":
         k = _nat_param(params, "k", minimum=1)
         p = Pattern.make(k, range(k), firsts=range(1, k + 1))
-        return Statistic.simple(p, WeightPolynomial.constant(k, 1))
+        return Statistic([(p, WeightPolynomial.constant(k, 1))])
     if name == "blocks_of_size":
         i = _nat_param(params, "i", minimum=1)
         p = Pattern.make(
             i, [0] * i, firsts=[1], lasts=[i], arcs=[(j, j + 1) for j in range(1, i)]
         )
-        return Statistic.simple(p, WeightPolynomial.constant(i, 1))
+        return Statistic([(p, WeightPolynomial.constant(i, 1))])
     if name == "crossings_k":
         k = _nat_param(params, "k", minimum=1)
         equiv = list(range(k)) * 2
         p = Pattern.make(2 * k, equiv, arcs=[(t, k + t) for t in range(1, k + 1)])
-        return Statistic.simple(p, WeightPolynomial.constant(2 * k, 1))
+        return Statistic([(p, WeightPolynomial.constant(2 * k, 1))])
     if name == "intertwining":
         return builtin("crossings_k", k=2)
     if name == "nestings":
         p = Pattern.make(4, [0, 1, 1, 0], arcs=[(1, 4), (2, 3)])
-        return Statistic.simple(p, WeightPolynomial.constant(4, 1))
+        return Statistic([(p, WeightPolynomial.constant(4, 1))])
     if name == "levels":
         p = Pattern.make(2, [0, 0], arcs=[(1, 2)], consecutive=[(1, 2)])
-        return Statistic.simple(p, WeightPolynomial.constant(2, 1))
+        return Statistic([(p, WeightPolynomial.constant(2, 1))])
     if name == "firsts_sum":
         p = Pattern.make(1, [0], firsts=[1])
-        return Statistic.simple(p, WeightPolynomial.variable(1, 1))
+        return Statistic([(p, WeightPolynomial.variable(1, 1))])
     if name == "lasts_sum":
         p = Pattern.make(1, [0], lasts=[1])
-        return Statistic.simple(p, WeightPolynomial.variable(1, 1))
+        return Statistic([(p, WeightPolynomial.variable(1, 1))])
     if name == "dimension":
-        ground = Statistic.simple(
-            Pattern.make(0, []), WeightPolynomial.ground_size(0)
-        )
+        ground = Statistic([(Pattern.make(0, []), WeightPolynomial.ground_size(0))])
         return (
             builtin("lasts_sum") - builtin("firsts_sum") + builtin("blocks") - ground
         )
@@ -571,7 +549,9 @@ def builtin(name: str, **params) -> Statistic:
 def _nat_param(params: dict, key: str, minimum: int = 0) -> int:
     if key not in params:
         raise StatisticError("builtin needs parameter %r" % key)
-    v = int(params[key])
+    v = params[key]
+    if type(v) is not int:
+        raise StatisticError("parameter %s must be an integer, not %r" % (key, v))
     if v < minimum:
         raise StatisticError("parameter %s=%d below minimum %d" % (key, v, minimum))
     return v
@@ -591,6 +571,9 @@ MAX_WEIGHT_DEGREE = 16
 # (y1+...+y8+m)^16 build 735,471 monomials; at this cap the slowest power,
 # (y1+...+y4+m)^12, builds 1,820 in 0.23 s (CPython 3.11, 2-vCPU x86-64).
 MAX_WEIGHT_MONOMIALS = 2048
+# Largest pattern length a DSL document may have.  The occurrence search
+# recurses once per position, and a pattern longer than n has no occurrences.
+MAX_PATTERN_LENGTH = 64
 
 
 def _natural(t: str) -> int:
@@ -638,11 +621,7 @@ def _parse_q(text: str, k: int) -> WeightPolynomial:
         return t
 
     def parse_expr():
-        if peek() == "-":
-            take()
-            acc = parse_term().scaled(-1)
-        else:
-            acc = parse_term()
+        acc = parse_term()
         while peek() in ("+", "-"):
             op = take()
             t = parse_term()
@@ -660,6 +639,9 @@ def _parse_q(text: str, k: int) -> WeightPolynomial:
         return acc
 
     def parse_factor():
+        if peek() == "-":  # the one unary minus: -y1^2 is -(y1^2); ^ never chains
+            take()
+            return parse_factor().scaled(-1)
         base = parse_atom()
         if peek() == "^":
             take()
@@ -681,8 +663,6 @@ def _parse_q(text: str, k: int) -> WeightPolynomial:
             if take() != ")":
                 raise StatisticError("unbalanced parentheses in weight expression")
             return inner
-        if t == "-":
-            return parse_factor().scaled(-1)
         if t is None:
             raise StatisticError("unexpected end of weight expression")
         if t.isdigit():
@@ -731,6 +711,10 @@ def pattern_from_dict(doc: dict) -> Statistic:
     k = doc.get("length")
     if type(k) is not int or k < 0:
         raise StatisticError("pattern document needs a nonnegative integer 'length'")
+    if k > MAX_PATTERN_LENGTH:
+        raise StatisticError(
+            "pattern length %d exceeds MAX_PATTERN_LENGTH = %d" % (k, MAX_PATTERN_LENGTH)
+        )
     blocks = doc.get("blocks")
     if blocks is None:
         raise StatisticError("pattern document needs 'blocks'")
@@ -757,7 +741,7 @@ def pattern_from_dict(doc: dict) -> Statistic:
         arcs=_pairs(doc, "arcs"),
         consecutive=_pairs(doc, "consecutive"),
     )
-    return Statistic.simple(p, _parse_q(q, k))
+    return Statistic([(p, _parse_q(q, k))])
 
 
 def parse_pattern(text: str) -> Statistic:

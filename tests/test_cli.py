@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from partstats import asymptotics, cli, recursions
 from partstats.cli import run
 from partstats.exactnum import bell
-from partstats.statistics import MAX_WEIGHT_DEGREE, MAX_WEIGHT_MONOMIALS
+from partstats.statistics import MAX_PATTERN_LENGTH, MAX_WEIGHT_DEGREE, MAX_WEIGHT_MONOMIALS
 
 
 def invoke(capsys, *argv):
@@ -140,11 +140,22 @@ def test_fit_target_and_pattern_together_exit_one(tmp_path, capsys):
     assert err == "error: fit takes either --target or --pattern, not both\n"
 
 
-@pytest.mark.parametrize("q", ["0", "y1 - y1", "y6*m - m*y6"])
-def test_zero_weight_document_fits_to_zero(tmp_path, capsys, q):
-    # the weight vanishes, so the statistic has no terms and degree 0
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"length": 6, "blocks": [[1, 2, 3, 4, 5, 6]], "q": "0"},
+        {"length": 6, "blocks": [[1, 2, 3, 4, 5, 6]], "q": "y1 - y1"},
+        {"length": 6, "blocks": [[1, 2, 3, 4, 5, 6]], "q": "y6*m - m*y6"},
+        # consecutive on positions that are not adjacent: it can never occur
+        {"length": 3, "blocks": [[1, 3], [2]], "consecutive": [[1, 3]], "q": "y1"},
+    ],
+    ids=["0", "y1 - y1", "y6*m - m*y6", "cannot occur"],
+)
+def test_zero_weight_document_fits_to_zero(tmp_path, capsys, doc):
+    # the weight vanishes or the pattern cannot occur, so the statistic has
+    # no terms and degree 0
     path = tmp_path / "zero.json"
-    path.write_text(json.dumps({"length": 6, "blocks": [[1, 2, 3, 4, 5, 6]], "q": q}))
+    path.write_text(json.dumps(doc))
     code, out, err = invoke(capsys, "fit", "--pattern", str(path))
     assert code == 0 and err == ""
     assert out == '0\n{"shifts": []}\n'
@@ -265,6 +276,8 @@ def _eval_document(text: str):
         {"length": "1", "blocks": [[1]]},
         {"length": 1, "blocks": [[True]]},
         {"length": 10 ** 12, "blocks": [[1]]},
+        {"length": 1, "blocks": [[1]], "q": "y1*-3^3^2"},
+        {"length": 1200, "blocks": [list(range(1, 1201))]},
     ],
 )
 def test_malformed_documents_exit_one(doc):
@@ -290,6 +303,19 @@ def test_weight_monomial_cap_is_named():
     assert _eval_document(json.dumps(doc))[0] == 1
     doc["q"] = "(y1+y2+y3+y4+y5+y6+y7+y8+m)^3"
     assert _eval_document(json.dumps(doc))[0] == 0
+
+
+def test_pattern_length_cap_is_named(tmp_path, capsys):
+    # the occurrence search recurses once per position: a 1200-position
+    # pattern on a 1200-element partition is refused, not overflowed
+    def eval_one_block(k):
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps({"length": k, "blocks": [list(range(1, k + 1))]}))
+        return invoke(capsys, "eval", "--pattern", str(path), "--partition", ",".join(["0"] * k))
+
+    code, out, err = eval_one_block(1200)
+    assert code == 1 and out == "" and "MAX_PATTERN_LENGTH = %d" % MAX_PATTERN_LENGTH in err
+    assert eval_one_block(MAX_PATTERN_LENGTH)[:2] == (0, "1\n")
 
 
 @pytest.mark.parametrize("text", ["[" * 5000, '{"length": %s}' % ("9" * 5000)])

@@ -11,7 +11,7 @@ from itertools import combinations
 from hypothesis import given, settings, strategies as st
 
 from partstats.exactnum import bell
-from partstats.partitions import canonical_rgs, enumerate_partitions, iter_rgs
+from partstats.partitions import SetPartition, canonical_rgs, enumerate_partitions, iter_rgs
 from partstats.statistics import (
     Pattern,
     Statistic,
@@ -78,7 +78,7 @@ def check_statistic(f: Statistic, nmax: int = 6) -> None:
                 assert occurrences(p, lam) == ref_occurrences(p, lam)
             value = ref_evaluate(f, lam)
             assert f.evaluate(lam) == value
-            assert sum(Statistic.simple(p, q).evaluate(lam) for p, q in f.terms) == value
+            assert sum(Statistic([(p, q)]).evaluate(lam) for p, q in f.terms) == value
             total += value
         assert aggregate(f, n) == total
 
@@ -143,6 +143,30 @@ def test_random_merge_products_match_reference(f1, f2):
     for n in range(6):
         for lam in PARTITIONS[n]:
             assert f3.evaluate(lam) == f1.evaluate(lam) * f2.evaluate(lam)
+
+
+def _occurs_at_identity(p: Pattern) -> bool:
+    """Whether positions 1..k realize ``p`` in the partition of [k] that
+    ``p.equiv`` spells out."""
+    return tuple(range(1, p.k + 1)) in ref_occurrences(p, SetPartition(p.equiv))
+
+
+@settings(max_examples=40, deadline=None)
+@given(statistics(max_terms=3), statistics(max_terms=2, max_k=3), statistics(max_terms=2, max_k=3))
+def test_kept_terms_can_occur(f, f1, f2):
+    for p, _ in f.terms + (f1 * f2).terms:
+        assert _occurs_at_identity(p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(patterns(), min_size=1, max_size=4))
+def test_dropped_patterns_never_occur(ps):
+    f = Statistic([(p, WeightPolynomial.constant(p.k, 1)) for p in ps])
+    kept = {p for p, _ in f.terms}
+    for p in ps:
+        if p not in kept:
+            assert not _occurs_at_identity(p)
+            assert all(ref_occurrences(p, lam) == [] for n in range(7) for lam in PARTITIONS[n])
 
 
 # --- merge targets ---------------------------------------------------------------
@@ -213,7 +237,7 @@ def test_merges_of_builtin_patterns_match_sweep():
 
 def simple(k, equiv, q=None, **constraints) -> Statistic:
     p = Pattern.make(k, equiv, **constraints)
-    return Statistic.simple(p, q or WeightPolynomial.constant(k, 1))
+    return Statistic([(p, q or WeightPolynomial.constant(k, 1))])
 
 
 def test_two_arcs_into_one_position():
@@ -244,7 +268,7 @@ def test_first_last_and_consecutive_on_fresh_classes():
 
 
 def test_length_zero_term_with_ground_weight():
-    f = Statistic.simple(Pattern.make(0, []), WeightPolynomial.ground_size(0))
+    f = Statistic([(Pattern.make(0, []), WeightPolynomial.ground_size(0))])
     check_statistic(f)
     for n in range(7):
         assert aggregate(f, n) == n * bell(n)
@@ -261,17 +285,19 @@ def test_pattern_longer_than_partition():
             assert occurrences(f.terms[0][0], lam) == []
 
 
-def test_merge_product_keeps_contradictory_targets():
+def test_merge_product_drops_contradictory_targets():
     # firsts on one pattern's arc target: merged targets that put both on
-    # one position have no occurrences, and must add nothing
-    out = merge_product(builtin("blocks"), builtin("levels"))
-    contradictory = [(p, q) for p, q in out.terms if any(b in p.firsts for _, b in p.arcs)]
+    # one position have no occurrences, so the product does not keep them
+    f, g = builtin("blocks"), builtin("levels")
+    out = merge_product(f, g)
+    targets = [p3 for p1, _ in f.terms for p2, _ in g.terms for p3, _, _ in _merges(p1, p2)]
+    contradictory = [p for p in targets if any(b in p.firsts for _, b in p.arcs)]
     assert contradictory
     check_statistic(out, nmax=5)
-    for p, q in contradictory:
-        f = Statistic.simple(p, q)
-        check_statistic(f, nmax=5)
-        assert all(aggregate(f, n) == 0 for n in range(7))
+    kept = {p for p, _ in out.terms}
+    for p in contradictory:
+        assert p not in kept
+        assert all(occurrences(p, lam) == [] for n in range(7) for lam in PARTITIONS[n])
 
 
 def test_builtin_products_match_reference():

@@ -256,6 +256,12 @@ def test_dsl_rejects_bad_documents():
             parse_pattern(json.dumps(doc))
 
 
+@pytest.mark.parametrize("k", [2.7, True, "x", "2", None])
+def test_builtin_parameters_must_be_integers(k):
+    with pytest.raises(StatisticError, match="must be an integer"):
+        builtin("crossings_k", k=k)
+
+
 def test_arc_requires_coblocked_positions():
     with pytest.raises(StatisticError):
         Pattern.make(2, [0, 1], arcs=[(1, 2)])
