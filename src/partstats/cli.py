@@ -23,6 +23,12 @@ BRUTE_GUARD = 14
 # bound on CPython 3.11.7, 2 vCPU
 DP_GUARD = 200
 DP_COST = "at n=200 dist dim took 27 s and 142 MiB, dist int 85 s and 101 MiB"
+# bound on statistics.aggregate_cost summed over the aggregates of
+# `aggregate` and `fit --pattern`; measured at the bound on CPython 3.11.7,
+# 2 vCPU (the time per unit grows with n, as the DP's integers widen)
+AGGREGATE_GUARD = 2 * 10**7
+AGGREGATE_COST = ("at the bound crossings_k(2)*nestings (n=120) took 2.8 s, "
+                  "one singleton pattern (n=3162) 12 s")
 
 
 class CliError(Exception):
@@ -62,6 +68,15 @@ def _guard_n(n: int, force: bool, bound: int = BRUTE_GUARD, what: str = "brute-f
             except OverflowError:  # ln B_n overflows a float only from n > 10^305 on
                 cost = "; over 10^(10^300) partitions"
         raise CliError("n=%d exceeds the %s (%d%s); pass --force to override" % (n, what, bound, cost))
+
+
+def _guard_aggregate(f: statistics.Statistic, ns, force: bool) -> None:
+    cost = sum(statistics.aggregate_cost(f, n) for n in ns)
+    if cost > AGGREGATE_GUARD and not force:
+        raise CliError(
+            "estimated cost about 10^%.1f exceeds the aggregate cost guard (%d; %s); "
+            "pass --force to override" % (math.log10(cost), AGGREGATE_GUARD, AGGREGATE_COST)
+        )
 
 
 def _csv(header: str, rows) -> str:
@@ -134,8 +149,8 @@ def _cmd_eval(args) -> None:
 def _cmd_aggregate(args) -> None:
     if args.n < 0:
         raise CliError("--n must be nonnegative")
-    _guard_n(args.n, args.force)
     f = _load_statistic(args.pattern)
+    _guard_aggregate(f, [args.n], args.force)
     _write(args, "%s\n" % statistics.aggregate(f, args.n))
 
 
@@ -164,7 +179,7 @@ def _cmd_fit(args) -> None:
         except ValueError as e:
             raise CliError("invalid profile: %s" % e)
         points = shifted_bell.default_sample_points(profile)
-        _guard_n(max(points), args.force)
+        _guard_aggregate(f, points, args.force)
         samples = [(n, statistics.aggregate(f, n)) for n in points]
         try:
             result = shifted_bell.fit(samples, profile)

@@ -17,7 +17,7 @@ from itertools import combinations, product
 from math import comb, lcm
 from typing import Iterable, Mapping
 
-from .partitions import SetPartition, canonical_rgs, enumerate_partitions
+from .partitions import SetPartition, canonical_rgs
 
 
 class StatisticError(ValueError):
@@ -168,6 +168,10 @@ class Pattern:
 
     @classmethod
     def make(cls, k, equiv, firsts=(), lasts=(), arcs=(), consecutive=()) -> "Pattern":
+        if k > MAX_MERGED_LENGTH:
+            raise StatisticError(
+                "pattern length %d exceeds MAX_MERGED_LENGTH = %d" % (k, MAX_MERGED_LENGTH)
+            )
         equiv = canonical_rgs(equiv)
         if len(equiv) != k:
             raise StatisticError("equivalence must cover all %d positions" % k)
@@ -390,7 +394,8 @@ class Statistic:
 
     def _weights_at(self, n: int) -> list:
         """``[(steps, weight)]`` for partitions of [n], in the form
-        ``_search`` takes; patterns longer than n and zero weights drop out."""
+        ``_search`` and ``aggregate`` take; patterns longer than n and zero
+        weights drop out."""
         last_n, folded_terms = self._folded
         if n != last_n:
             folded_terms = []
@@ -436,9 +441,83 @@ class Statistic:
         return "Statistic(<%d terms, degree %d>)" % (len(self.terms), self.degree())
 
 
+# ---------------------------------------------------------------------------
+# aggregates: a transfer DP over the elements
+# ---------------------------------------------------------------------------
+#
+# For one pattern and one monomial prod y_i^e_i, ``_transfer_dp`` adds up
+# prod x_i^e_i over every pair (partition of [n], occurrence x), building
+# the partition element by element.  After element v the state is (i, b):
+# positions 0..i-1 of the occurrence are placed, and b blocks hold no
+# position (free blocks).  Element v+1 then
+#   - opens a free block (b -> b+1);
+#   - joins one of the b free blocks, or one of the joins[i] placed classes
+#     whose block may take it: the class's latest position is not ``last``
+#     and its next position is not an ``arc``;
+#   - or becomes position i, times (v+1)^e_i.  A repeated class joins its
+#     block; a fresh class opens a block or, unless ``first``, adopts one
+#     of the b free blocks (b ways, b -> b-1).
+# When position i is ``adj`` the state is locked: position i-1 was the
+# element just placed, so the next element must be position i.  A pair
+# gives exactly one path: each element's move is read off from whether it
+# is a position, whether its block is new, and which block it joins, and
+# the moves allowed are exactly those the constraints allow.  The answer is
+# the weight on the states with i = k after element n.
+
 def aggregate(f: Statistic, n: int) -> Fraction:
-    """Exact sum of f over all partitions of [n]."""
-    return Fraction(sum(f._total(lam.rgs) for lam in enumerate_partitions(n)), f._den)
+    """Exact sum of f over all partitions of [n], by one transfer DP per
+    pattern and monomial (``_transfer_dp``); no partition is listed."""
+    if n < 0:
+        raise StatisticError("aggregate needs n >= 0, not %d" % n)
+    total = 0
+    for steps, weight in f._weights_at(n):
+        monos = ((weight, ()),) if type(weight) is int else weight
+        total += sum(c * _transfer_dp(steps, powers, n) for c, powers in monos)
+    return Fraction(total, f._den)
+
+
+def aggregate_cost(f: Statistic, n: int) -> int:
+    """An estimate of the work of ``aggregate(f, n)``: n^2 times, summed
+    over the terms that fit in [n], (k + 1) times the term's monomials.
+    One DP updates about (k + 1) * n^2 / 2 cells."""
+    return n * n * sum((k + 1) * len(monos) for k, _, monos in f._tables if k <= n)
+
+
+def _transfer_dp(steps: tuple, powers: tuple, n: int) -> int:
+    """Sum over the partitions of [n] and their occurrences x of ``steps``
+    of prod x[i]^e over ``powers``, a tuple of (position, exponent) pairs."""
+    k = len(steps)
+    exps = [0] * k
+    for i, e in powers:
+        exps[i] = e
+    later = {s[0]: j for j, s in enumerate(steps) if s[0] >= 0}  # next position of a class
+    joins = [
+        sum(
+            1 for j in range(i)
+            if not steps[j][4] and (j not in later or later[j] >= i and not steps[later[j]][1])
+        )
+        for i in range(k + 1)
+    ]
+    rows = [[1]] + [[0]] * k  # rows[i][b] after element 0
+    for v in range(1, n + 1):
+        new = []
+        for i in range(k + 1):
+            old = rows[i]
+            if i < k and steps[i][2]:
+                row = [0] * (v + 1)
+            else:
+                j = joins[i]
+                row = [a + w * (b + j) for b, (a, w) in enumerate(zip([0] + old, old + [0]))]
+            if i:
+                p = placed = rows[i - 1]
+                prev, _, _, first = steps[i - 1][:4]
+                if prev < 0 and not first:  # open a block, or adopt one of b + 1 free ones
+                    placed = [w + b * u for b, (w, u) in enumerate(zip(p, p[1:] + [0]), 1)]
+                f = v ** exps[i - 1]
+                row = [r + f * w for r, w in zip(row, placed)] + row[v:]
+            new.append(row)
+        rows = new
+    return sum(rows[k])
 
 
 # ---------------------------------------------------------------------------
@@ -574,6 +653,11 @@ MAX_WEIGHT_MONOMIALS = 2048
 # Largest pattern length a DSL document may have.  The occurrence search
 # recurses once per position, and a pattern longer than n has no occurrences.
 MAX_PATTERN_LENGTH = 64
+# Largest length any pattern may have, checked by ``Pattern.make``: the
+# occurrence search recurses once per position, so this keeps it far below
+# the interpreter's recursion limit.  Twice the DSL cap, so the product of
+# two DSL patterns still builds.
+MAX_MERGED_LENGTH = 2 * MAX_PATTERN_LENGTH
 
 
 def _natural(t: str) -> int:

@@ -89,6 +89,37 @@ def test_eval_and_aggregate(tmp_path, capsys):
     assert code == 0 and out == "%d\n" % (5 * bell(4))
 
 
+def test_aggregate_past_the_brute_force_guard(tmp_path, capsys):
+    # aggregate runs the transfer DP, so n = 15 is no longer refused
+    path = tmp_path / "singletons.json"
+    path.write_text(json.dumps({"length": 1, "blocks": [[1]], "firsts": [1], "lasts": [1], "q": "1"}))
+    code, out, err = invoke(capsys, "aggregate", "--pattern", str(path), "--n", "15")
+    assert code == 0 and err == "" and out == "%d\n" % (15 * bell(14))
+
+
+def test_aggregate_cost_guard_and_force(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "singletons.json"
+    path.write_text(json.dumps({"length": 1, "blocks": [[1]], "firsts": [1], "lasts": [1], "q": "1"}))
+    # the estimate is n^2 * (k + 1) * monomials = 2 * n^2; it costs O(1) in n
+    for n, log10_cost in (("100000", "10.3"), ("1" + "0" * 400, "800.3")):
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, "aggregate", "--pattern", str(path), "--n", n)
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and out == ""
+        assert err.startswith("error: estimated cost about 10^%s exceeds" % log10_cost)
+        assert str(cli.AGGREGATE_GUARD) in err and err.endswith("pass --force to override\n")
+    monkeypatch.setattr(cli, "AGGREGATE_GUARD", 100)
+    assert invoke(capsys, "aggregate", "--pattern", str(path), "--n", "8")[0] == 1
+    assert invoke(capsys, "aggregate", "--pattern", str(path), "--n", "8", "--force")[:2] == (
+        0, "%d\n" % (8 * bell(7)))
+    # fit --pattern sums the estimate over its sample points
+    fit = ("fit", "--pattern", str(path), "--profile-degree", "1", "--profile-k", "1")
+    code, out, err = invoke(capsys, *fit)
+    assert code == 1 and out == "" and "aggregate cost guard (100;" in err
+    code, out, _ = invoke(capsys, *fit, "--force")
+    assert code == 0 and out.splitlines()[0] == "j=-1: 1*n"
+
+
 def test_fit_target(capsys):
     code, out, _ = invoke(capsys, "fit", "--target", "dim", "--k", "1")
     assert code == 0

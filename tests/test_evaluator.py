@@ -1,18 +1,24 @@
-"""Differential tests of the compiled evaluator against a brute-force reference.
+"""Differential tests of the compiled evaluator and the aggregate DP.
 
-The reference tries every k-subset of [n] with ``itertools.combinations``,
-checks each pattern constraint directly on the partition's blocks, and
-evaluates the weight in exact Fractions.
+The evaluator's reference tries every k-subset of [n] with
+``itertools.combinations``, checks each pattern constraint directly on the
+partition's blocks, and evaluates the weight in exact Fractions.  The
+aggregate DP's reference sums the compiled evaluator over every partition
+of [n]; closed forms check the DP at sizes no enumeration reaches.
 """
 
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from partstats.exactnum import bell
 from partstats.partitions import SetPartition, canonical_rgs, enumerate_partitions, iter_rgs
+from partstats.recursions import dim_moments, int_moments
 from partstats.statistics import (
+    MAX_MERGED_LENGTH,
     Pattern,
     Statistic,
     StatisticError,
@@ -23,6 +29,7 @@ from partstats.statistics import (
     merge_product,
     occurrences,
 )
+from test_acceptance import MERGE_PAIRS, _make
 
 PARTITIONS = {n: list(enumerate_partitions(n)) for n in range(7)}
 
@@ -318,3 +325,88 @@ def test_builtins_match_reference():
         ("dimension", {}),
     ]:
         check_statistic(builtin(name, **params))
+
+
+# --- the aggregate DP against enumeration -------------------------------------------
+
+def enumeration_aggregate(f: Statistic, n: int) -> Fraction:
+    """The sum of f over every partition of [n], one evaluation each."""
+    return Fraction(sum(f._total(lam.rgs) for lam in enumerate_partitions(n)), f._den)
+
+
+BUILTINS = [
+    ("blocks", {}),
+    ("blocks_choose", {"k": 2}),
+    ("blocks_choose", {"k": 3}),
+    ("blocks_of_size", {"i": 1}),
+    ("blocks_of_size", {"i": 3}),
+    ("crossings_k", {"k": 1}),
+    ("crossings_k", {"k": 2}),
+    ("nestings", {}),
+    ("levels", {}),
+    ("firsts_sum", {}),
+    ("lasts_sum", {}),
+    ("dimension", {}),
+    ("intertwining", {}),
+]
+
+
+@pytest.mark.parametrize("name,params", BUILTINS, ids=[n + str(p) for n, p in BUILTINS])
+def test_aggregate_of_builtin_matches_enumeration(name, params):
+    f = builtin(name, **params)
+    for n in range(10):
+        assert aggregate(f, n) == enumeration_aggregate(f, n)
+
+
+@pytest.mark.parametrize("pair", MERGE_PAIRS, ids=["%s*%s" % p for p in MERGE_PAIRS])
+def test_aggregate_of_merge_product_matches_enumeration(pair):
+    f = _make(pair[0]) * _make(pair[1])
+    for n in range(8):
+        assert aggregate(f, n) == enumeration_aggregate(f, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(statistics(max_terms=3, max_k=5))
+def test_aggregate_of_random_statistic_matches_enumeration(f):
+    for n in range(8):
+        assert aggregate(f, n) == enumeration_aggregate(f, n)
+
+
+@settings(max_examples=15, deadline=None)
+@given(statistics(max_terms=2, max_k=3), statistics(max_terms=2, max_k=3))
+def test_aggregate_of_random_product_matches_enumeration(f1, f2):
+    f = f1 * f2
+    for n in range(8):
+        assert aggregate(f, n) == enumeration_aggregate(f, n)
+
+
+def test_aggregate_closed_forms_at_n_150():
+    n = 150
+    assert aggregate(builtin("blocks"), n) == bell(n + 1) - bell(n)
+    for i in (1, 2, 5):
+        assert aggregate(builtin("blocks_of_size", i=i), n) == comb(n, i) * bell(n - i)
+    assert aggregate(builtin("levels"), n) == (n - 1) * bell(n - 1)
+
+
+def test_aggregate_matches_the_exponent_moments():
+    d, cr2 = builtin("dimension"), builtin("crossings_k", k=2)
+    for n in range(61):
+        assert aggregate(d, n) == dim_moments(1, n)[1]
+        assert aggregate(cr2, n) == int_moments(1, n)[1]
+
+
+def test_aggregate_of_negative_n_is_a_statistic_error():
+    for n in (-1, -10):
+        with pytest.raises(StatisticError):
+            aggregate(builtin("blocks"), n)
+
+
+def test_pattern_length_is_capped_in_make():
+    # the cap holds for every pattern, not only DSL documents, so the
+    # occurrence search never nears the recursion limit
+    lam = SetPartition([0] * MAX_MERGED_LENGTH)
+    assert builtin("blocks_of_size", i=MAX_MERGED_LENGTH).evaluate(lam) == 1
+    with pytest.raises(StatisticError, match="MAX_MERGED_LENGTH"):
+        builtin("blocks_of_size", i=1200).evaluate(SetPartition([0] * 1200))
+    with pytest.raises(StatisticError, match="MAX_MERGED_LENGTH"):
+        Pattern.make(MAX_MERGED_LENGTH + 1, [0] * (MAX_MERGED_LENGTH + 1))
