@@ -10,12 +10,11 @@ import argparse
 import json
 import math
 import sys
-from collections import Counter
 from fractions import Fraction
 
 from . import asymptotics, recursions, shifted_bell, statistics
 from .exactnum import bell, bell_mod_table
-from .partitions import PartitionError, crossing_count, enumerate_partitions, parse_partition
+from .partitions import PartitionError, brute_distribution, parse_partition
 from .statistics import StatisticError
 
 BRUTE_GUARD = 14
@@ -29,6 +28,16 @@ DP_COST = "at n=200 dist dim took 27 s and 142 MiB, dist int 85 s and 101 MiB"
 AGGREGATE_GUARD = 2 * 10**7
 AGGREGATE_COST = ("at the bound crossings_k(2)*nestings (n=120) took 2.8 s, "
                   "one singleton pattern (n=3162) 12 s")
+# bound on recursions.moments_cost for `moments`, on the unknowns of the
+# `fit --target` profile, and on n for `asym`, whose exact B_n costs about
+# n^3; measured at and past the bounds on CPython 3.11.7, 2 vCPU
+MOMENTS_GUARD = 3 * 10**10
+MOMENTS_COST = ("at the bound dim n=3100 k=0 took 15 s, dim n=0 k=773 9 s, "
+                "int n=1955 k=1 14 s and 259 MiB")
+FIT_GUARD = 91
+FIT_COST = "int k=4 (91 unknowns) took 11.5 s, dim k=8 (97) 17.6 s, int k=5 (136) 149 s"
+ASYM_GUARD = 4000
+ASYM_COST = "n=3000 took 5.2 s, n=4000 12 s, n=4500 19 s"
 
 
 class CliError(Exception):
@@ -59,7 +68,7 @@ def _load_statistic(path: str) -> statistics.Statistic:
 
 
 def _guard_n(n: int, force: bool, bound: int = BRUTE_GUARD, what: str = "brute-force guard",
-             cost: str = "") -> None:
+             cost: str = "", name: str = "n") -> None:
     if n > bound and not force:
         if not cost:  # brute force visits all B_n partitions; never compute B_n here
             try:
@@ -67,16 +76,21 @@ def _guard_n(n: int, force: bool, bound: int = BRUTE_GUARD, what: str = "brute-f
                 cost = "; about 10^%.1f partitions" % log10_bell
             except OverflowError:  # ln B_n overflows a float only from n > 10^305 on
                 cost = "; over 10^(10^300) partitions"
-        raise CliError("n=%d exceeds the %s (%d%s); pass --force to override" % (n, what, bound, cost))
+        raise CliError("%s=%d exceeds the %s (%d%s); pass --force to override"
+                       % (name, n, what, bound, cost))
+
+
+def _guard_cost(cost: int, force: bool, bound: int, what: str, measured: str) -> None:
+    if cost > bound and not force:
+        raise CliError(
+            "estimated cost about 10^%.1f exceeds the %s (%d; %s); pass --force to override"
+            % (math.log10(cost), what, bound, measured)
+        )
 
 
 def _guard_aggregate(f: statistics.Statistic, ns, force: bool) -> None:
-    cost = sum(statistics.aggregate_cost(f, n) for n in ns)
-    if cost > AGGREGATE_GUARD and not force:
-        raise CliError(
-            "estimated cost about 10^%.1f exceeds the aggregate cost guard (%d; %s); "
-            "pass --force to override" % (math.log10(cost), AGGREGATE_GUARD, AGGREGATE_COST)
-        )
+    _guard_cost(sum(statistics.aggregate_cost(f, n) for n in ns), force, AGGREGATE_GUARD,
+                "aggregate cost guard", AGGREGATE_COST)
 
 
 def _csv(header: str, rows) -> str:
@@ -117,13 +131,7 @@ def _cmd_dist(args) -> None:
         raise CliError("--n must be nonnegative")
     if args.brute:
         _guard_n(args.n, args.force)
-        if args.target == "dim":
-            d = statistics.builtin("dimension")
-            values = (int(d.evaluate(lam)) for lam in enumerate_partitions(args.n))
-        else:
-            # the oracle counts crossings directly, not through the evaluator
-            values = (crossing_count(lam.arcs()) for lam in enumerate_partitions(args.n))
-        hist = Counter(values)
+        hist = brute_distribution(args.n, args.target)
     else:
         _guard_n(args.n, args.force, DP_GUARD, "DP guard", "; " + DP_COST)
         hist = getattr(recursions, args.target + "_distribution")(args.n)
@@ -133,6 +141,8 @@ def _cmd_dist(args) -> None:
 def _cmd_moments(args) -> None:
     if args.n < 0 or args.k < 0:
         raise CliError("--n and --k must be nonnegative")
+    _guard_cost(recursions.moments_cost(args.k, args.n), args.force, MOMENTS_GUARD,
+                "moments cost guard", MOMENTS_COST)
     values = getattr(recursions, args.target + "_moments")(args.k, args.n)
     _write(args, _csv("k,moment", enumerate(values)))
 
@@ -155,8 +165,6 @@ def _cmd_aggregate(args) -> None:
 
 
 def _fit_target(target: str, k: int) -> shifted_bell.ShiftedBellPolynomial:
-    if k < 1:
-        raise CliError("--k must be at least 1")
     profile = getattr(shifted_bell, "profile_" + target)(k)
     points = shifted_bell.default_sample_points(profile)
     moments = getattr(recursions, target + "_moments_range")(k, max(points))
@@ -167,6 +175,11 @@ def _cmd_fit(args) -> None:
     if args.target and args.pattern:
         raise CliError("fit takes either --target or --pattern, not both")
     if args.target:
+        if args.k < 1:
+            raise CliError("--k must be at least 1")
+        # asym's k = 1 fit passes no guard
+        _guard_n(shifted_bell.target_unknowns(args.target, args.k), args.force, FIT_GUARD,
+                 "fit guard", "; " + FIT_COST, "unknowns")
         result = _fit_target(args.target, args.k)
     elif args.pattern:
         f = _load_statistic(args.pattern)
@@ -195,6 +208,7 @@ def _cmd_asym(args) -> None:
     n = args.n
     if n < 2:
         raise CliError("--n must be at least 2")
+    _guard_n(n, args.force, ASYM_GUARD, "asym guard", "; " + ASYM_COST)
     fitted = _fit_target(args.target, 1)
     exact_mean = Fraction(fitted.evaluate(n), bell(n))
     mean_est = getattr(asymptotics, args.target + "_moment_asym")(n)[0]
@@ -245,6 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("target", choices=["dim", "int"])
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--k", type=int, required=True)
+    sp.add_argument("--force", action="store_true")
     sp.set_defaults(func=_cmd_moments)
 
     sp = sub.add_parser("eval", help="evaluate a pattern statistic on one partition")
@@ -270,6 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("asym", help="asymptotic vs exact comparison table")
     sp.add_argument("--target", choices=["dim", "int"], required=True)
     sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--force", action="store_true")
     sp.set_defaults(func=_cmd_asym)
 
     for sp in sub.choices.values():

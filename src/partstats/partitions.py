@@ -8,6 +8,7 @@ external API; the RGS itself is stored 0-indexed by position.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -139,6 +140,69 @@ def enumerate_partitions(n: int) -> Iterator[SetPartition]:
     trusted = SetPartition._trusted
     for rgs in iter_rgs(n):
         yield trusted(rgs)
+
+
+def brute_distribution(n: int, target: str) -> dict:
+    """{value: count} of the dimension ("dim") or 2-crossing ("int") exponent
+    over every partition of [n], by one depth-first walk over the elements.
+
+    The walk keeps each block's least and latest element.  Element x joining
+    the block whose latest element is l adds the arc (l, x): ``dim`` gains
+    x - l - 1, and ``int`` gains the earlier arcs (e, f) with e < l < f, one
+    per other block b with firsts[b] < l < lasts[b].  Opening a block adds 0.
+    The last element's choices are counted at once.  The stack is three
+    arrays indexed by element, so any n runs without recursion.
+    """
+    if target not in ("dim", "int"):
+        raise ValueError("target must be 'dim' or 'int', got %r" % (target,))
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if n < 2:
+        return {0: 1}
+    crossings = target == "int"
+    hist = defaultdict(int)
+    firsts, lasts = [1], [1]
+    # per element x < n: the block it joined, that block's latest element
+    # before x, and the weight of elements 1..x
+    choice, saved, weight = [0] * n, [0] * n, [0] * n
+    x, c = 2, 0  # element x tries block c next; c == len(lasts) opens a block
+    while x > 1:
+        nb = len(lasts)
+        w = weight[x - 1]
+        if x < n and c <= nb:
+            if c < nb:
+                l = lasts[c]
+                if crossings:
+                    w += len([1 for f, t in zip(firsts, lasts) if f < l < t])
+                else:
+                    w += x - l - 1
+                saved[x] = l
+                lasts[c] = x
+            else:
+                firsts.append(x)
+                lasts.append(x)
+            choice[x], weight[x] = c, w
+            x, c = x + 1, 0
+            continue
+        if x == n:
+            hist[w] += 1  # x opens a block
+            if crossings:
+                spans = list(zip(firsts, lasts))
+                for l in lasts:
+                    hist[w + len([1 for f, t in spans if f < l < t])] += 1
+            else:
+                for l in lasts:
+                    hist[w + x - l - 1] += 1
+        # x has no choice left: undo the choice of x - 1 and try its next block
+        x -= 1
+        c = choice[x]
+        if firsts[c] == x:
+            firsts.pop()
+            lasts.pop()
+        else:
+            lasts[c] = saved[x]
+        c += 1
+    return dict(hist)
 
 
 @dataclass(frozen=True)

@@ -183,3 +183,15 @@ def int_moments_range(kmax: int, nmax: int) -> list:
 def int_moments(kmax: int, n: int) -> list:
     """Exact M(i^k; n) for k = 0..kmax."""
     return int_moments_range(kmax, n)[n]
+
+
+def moments_cost(kmax: int, n: int) -> int:
+    """An estimate of the work of ``dim_moments``/``int_moments(kmax, n)``.
+
+    The binomial transforms hold (n + 1) * 3(kmax + 1)^2 entries with
+    kmax-bit binomials, about (n + 1)(kmax + 1)^3 in all.  The layers apply
+    them to about n^2 / 4 rows of (kmax + 1) power sums whose bit length grows
+    with n + kmax: about (n + 1)^2 (kmax + 1)^2 (n + kmax + 1).  The factor
+    64 weights the first term against the second, as measured.
+    """
+    return (n + 1) * (kmax + 1) ** 2 * ((n + 1) * (n + kmax + 1) + 64 * (kmax + 1))

@@ -156,6 +156,16 @@ def profile_int(k: int) -> FitProfile:
     return FitProfile(tuple(shifts), tuple(bounds))
 
 
+def target_unknowns(target: str, k: int) -> int:
+    """``profile_dim(k).unknowns`` or ``profile_int(k).unknowns``, in O(1):
+    no profile is built, so any k >= 1 costs the same."""
+    if target == "dim":  # j + 1 for j <= k, then k + 1 - ceil(t / 2) for t = 1..k
+        return (k + 1) * (k + 2) // 2 + k * (k + 1) - (k + 1) ** 2 // 4
+    if target == "int":  # degrees 0..3k, once each
+        return (3 * k + 1) * (3 * k + 2) // 2
+    raise ValueError("target must be 'dim' or 'int', got %r" % (target,))
+
+
 HOLDOUT = 3  # trailing samples that fit() keeps out of the training rows
 
 

@@ -9,7 +9,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from partstats import asymptotics, cli, recursions
+from partstats import asymptotics, cli, recursions, shifted_bell
 from partstats.cli import run
 from partstats.exactnum import bell
 from partstats.statistics import MAX_PATTERN_LENGTH, MAX_WEIGHT_DEGREE, MAX_WEIGHT_MONOMIALS
@@ -77,6 +77,59 @@ def test_moments_subcommand(capsys):
     code, out, _ = invoke(capsys, "moments", "dim", "--n", "4", "--k", "2")
     assert code == 0
     assert out == "k,moment\n0,15\n1,10\n2,16\n"
+
+
+def test_moments_cost_guard_and_force(capsys, monkeypatch):
+    # the largest benchmark job (n 184, k 4) passes; the estimate is O(1) in k
+    assert recursions.moments_cost(4, 184) <= cli.MOMENTS_GUARD
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, "moments", "dim", "--n", "5", "--k", "100000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == ""
+    assert err.startswith("error: estimated cost about 10^17.6 exceeds the moments cost guard (%d;"
+                          % cli.MOMENTS_GUARD)
+    assert err.endswith("pass --force to override\n")
+    monkeypatch.setattr(cli, "MOMENTS_GUARD", 10**4)  # moments_cost(2, 4) = 10215
+    assert invoke(capsys, "moments", "dim", "--n", "4", "--k", "2")[0] == 1
+    assert invoke(capsys, "moments", "dim", "--n", "4", "--k", "2", "--force")[:2] == (
+        0, "k,moment\n0,15\n1,10\n2,16\n")
+
+
+def test_fit_target_guard_and_force(capsys, monkeypatch):
+    # the benchmark's int k = 3 (55 unknowns) passes; the unknowns are counted
+    # without building a profile
+    assert shifted_bell.target_unknowns("int", 3) <= cli.FIT_GUARD
+    for k, unknowns in (("5", 136), ("100000", 45000450001)):
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, "fit", "--target", "int", "--k", k)
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and out == ""
+        assert err.startswith("error: unknowns=%d exceeds the fit guard (%d;" % (unknowns, cli.FIT_GUARD))
+    monkeypatch.setattr(cli, "FIT_GUARD", 3)
+    assert invoke(capsys, "fit", "--target", "dim", "--k", "1")[0] == 1  # 4 unknowns
+    code, out, _ = invoke(capsys, "fit", "--target", "dim", "--k", "1", "--force")
+    assert code == 0 and out.splitlines()[0] == "j=1: 4 + 1*n ; j=2: -2"
+    # asym's internal k = 1 fit is not refused
+    assert invoke(capsys, "asym", "--target", "int", "--n", "50")[0] == 0
+
+
+def test_asym_guard_and_force(capsys, monkeypatch):
+    def no_bell(n):
+        raise AssertionError("the guard computed bell(%d)" % n)
+
+    for n in (str(cli.ASYM_GUARD + 1), "1" + "0" * 400):
+        monkeypatch.setattr(cli, "bell", no_bell)
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, "asym", "--target", "dim", "--n", n)
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and out == ""
+        assert err.startswith("error: n=%s exceeds the asym guard (%d;" % (n, cli.ASYM_GUARD))
+    monkeypatch.undo()
+    assert 3000 <= cli.ASYM_GUARD  # the largest benchmark job
+    monkeypatch.setattr(cli, "ASYM_GUARD", 40)
+    assert invoke(capsys, "asym", "--target", "int", "--n", "50")[0] == 1
+    code, out, _ = invoke(capsys, "asym", "--target", "int", "--n", "50", "--force")
+    assert code == 0 and out.startswith("quantity,exact,asymptotic,rel_error\nalpha,")
 
 
 def test_eval_and_aggregate(tmp_path, capsys):

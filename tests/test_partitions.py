@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -6,12 +8,15 @@ from partstats.partitions import (
     MarkedSetPartition,
     PartitionError,
     SetPartition,
+    brute_distribution,
+    crossing_count,
     enumerate_partitions,
     from_blocks,
     iter_rgs,
     marked_enumerate,
     parse_partition,
 )
+from partstats.statistics import builtin
 
 
 def test_enumeration_counts_match_bell():
@@ -114,3 +119,16 @@ def test_hash_and_equality():
     b = from_blocks([(1, 2), (3,)])
     assert a == b and hash(a) == hash(b)
     assert a != parse_partition("123")
+
+
+def test_brute_distribution_matches_arcs_and_the_evaluator():
+    # the walk counts each crossing when its later arc closes, and each arc
+    # (l, x) of a block adds x - l - 1 to the dimension
+    d = builtin("dimension")
+    for n in range(10):
+        lams = list(enumerate_partitions(n))
+        assert brute_distribution(n, "int") == Counter(crossing_count(lam.arcs()) for lam in lams)
+        assert brute_distribution(n, "dim") == Counter(int(d.evaluate(lam)) for lam in lams)
+    for n, target in ((3, "nest"), (-1, "dim")):
+        with pytest.raises(ValueError):
+            brute_distribution(n, target)

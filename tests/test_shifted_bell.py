@@ -17,6 +17,7 @@ from partstats.shifted_bell import (
     profile_dim,
     profile_generic,
     profile_int,
+    target_unknowns,
 )
 
 
@@ -60,6 +61,14 @@ def test_profile_shapes():
     i = profile_int(1)
     assert i.shifts == (-1, 0, 1, 2)
     assert i.degree_bounds == (3, 2, 1, 0)
+
+
+def test_target_unknowns_count_the_profiles():
+    for k in range(1, 40):
+        assert target_unknowns("dim", k) == profile_dim(k).unknowns
+        assert target_unknowns("int", k) == profile_int(k).unknowns
+    with pytest.raises(ValueError):
+        target_unknowns("nest", 2)
 
 
 def test_profile_validation():
