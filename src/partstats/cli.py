@@ -33,11 +33,17 @@ AGGREGATE_COST = ("at the bound crossings_k(2)*nestings (n=120) took 2.8 s, "
 # n^3; measured at and past the bounds on CPython 3.11.7, 2 vCPU
 MOMENTS_GUARD = 3 * 10**10
 MOMENTS_COST = ("at the bound dim n=3100 k=0 took 15 s, dim n=0 k=773 9 s, "
-                "int n=1955 k=1 14 s and 259 MiB")
+                "int n=1955 k=1 14 s and 24 MiB")
 FIT_GUARD = 91
 FIT_COST = "int k=4 (91 unknowns) took 11.5 s, dim k=8 (97) 17.6 s, int k=5 (136) 149 s"
+# exact `bell --max N` shares the asym bound and text: both grow B_0..B_N
+# (bell --max 3000 took 5.3 s, --max 4000 12.7 s)
 ASYM_GUARD = 4000
 ASYM_COST = "n=3000 took 5.2 s, n=4000 12 s, n=4500 19 s"
+# bound on (N + 1)^2 times the machine words of M for `bell --max N --mod M`,
+# the entries the triangle adds; measured at the bound on CPython 3.11.7, 2 vCPU
+BELL_MOD_GUARD = 2 * 10**8
+BELL_MOD_COST = "N=14000 M=10^6+3 took 4.6-6.6 s, N=3000 M=2^1329-1 1.1 s"
 
 
 class CliError(Exception):
@@ -93,6 +99,19 @@ def _guard_aggregate(f: statistics.Statistic, ns, force: bool) -> None:
                 "aggregate cost guard", AGGREGATE_COST)
 
 
+def _check_sizes(args) -> None:
+    """Refuse a --n, --k or --max that no list can index.
+
+    Run only under --force: without it, every guard refuses such a size
+    first and states its estimated cost.
+    """
+    for name in ("n", "k", "max"):
+        value = getattr(args, name, None)
+        if value is not None and value > sys.maxsize:
+            raise CliError("--%s exceeds the largest size a list can index (%d)"
+                           % (name, sys.maxsize))
+
+
 def _csv(header: str, rows) -> str:
     """``header`` and one ``a,b`` line per integer pair, printed in full.
 
@@ -120,8 +139,11 @@ def _cmd_bell(args) -> None:
     if args.mod is not None:
         if args.mod < 2:
             raise CliError("--mod must be at least 2")
+        _guard_cost((args.max + 1) ** 2 * (args.mod.bit_length() // 64 + 1), args.force,
+                    BELL_MOD_GUARD, "bell --mod cost guard", BELL_MOD_COST)
         values = bell_mod_table(args.max, args.mod)
     else:
+        _guard_n(args.max, args.force, ASYM_GUARD, "bell guard", "; " + ASYM_COST, "max")
         values = [bell(n) for n in range(args.max + 1)]
     _write(args, _csv("n,bell", enumerate(values)))
 
@@ -246,6 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("bell", help="Bell numbers, optionally reduced mod M")
     sp.add_argument("--max", type=int, required=True)
     sp.add_argument("--mod", type=int, default=None)
+    sp.add_argument("--force", action="store_true")
     sp.set_defaults(func=_cmd_bell)
 
     sp = sub.add_parser("dist", help="exact distribution of dim or int exponent")
@@ -297,6 +320,8 @@ def run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "force", False):
+            _check_sizes(args)
         args.func(args)
         return 0
     except (CliError, StatisticError, PartitionError, shifted_bell.FitError,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import threading
+from itertools import accumulate
 
 
 class BellTable:
@@ -77,17 +78,24 @@ def stirling2(n: int, k: int) -> int:
 
 
 def bell_mod_table(nmax: int, m: int) -> list[int]:
-    """B_0..B_nmax reduced mod m, via the Bell triangle with reduced entries."""
+    """B_0..B_nmax reduced mod m, via the Bell triangle.
+
+    Each row is one prefix sum of the row before, so it is nondecreasing and
+    its last entry bounds the rest.  Reduction mod m is exact whenever it is
+    done, so the row is reduced only once that entry passes m * 2^100: the
+    entries stay below about m * 2^100 * nmax, and most rows cost one
+    C-level ``accumulate`` and no division.
+    """
     if m < 2:
         raise ValueError("modulus must be at least 2")
+    bound = m << 100
     values = [1 % m]
-    row = [1 % m]
+    row = [1]  # the row whose last entry is B_1
     while len(values) <= nmax:
-        values.append(row[-1])
-        nxt = [row[-1]]
-        for v in row:
-            nxt.append((nxt[-1] + v) % m)
-        row = nxt
+        values.append(row[-1] % m)
+        row = list(accumulate(row, initial=row[-1]))
+        if row[-1] > bound:
+            row = list(map(m.__rmod__, row))
     return values[: nmax + 1]
 
 

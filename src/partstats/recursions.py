@@ -87,9 +87,10 @@ def _layers(target: str, n: int, table: bool, kmax: int = 0, slot: int = 0):
     that cannot close their blocks by layer n are dropped.
     """
     d, step = _STEPS[target]
-    # per row a: the polynomials of the moves from rows a-1, a and a+1
-    moves = [(step(a - 1)[0] if a else {}, Counter(step(a)[0]) + Counter(step(a)[1]),
-              step(a + 1)[1]) for a in range(n + 1)]
+    # per row a: the polynomials of the moves from rows a-1, a and a+1.  A
+    # generator: int's hold about a terms, so each is freed once it is used
+    moves = ((step(a - 1)[0] if a else {}, Counter(step(a)[0]) + Counter(step(a)[1]),
+              step(a + 1)[1]) for a in range(n + 1))
     if slot:
         den = sum(c << slot * s for s, c in d.items())
         terms = [[(j, c, slot * s) for j, p in enumerate(m) for s, c in _times(p, d).items() if c]

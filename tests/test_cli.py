@@ -132,6 +132,42 @@ def test_asym_guard_and_force(capsys, monkeypatch):
     assert code == 0 and out.startswith("quantity,exact,asymptotic,rel_error\nalpha,")
 
 
+def test_bell_guard_and_force(capsys, monkeypatch):
+    def no_table(*args):
+        raise AssertionError("the guard built a table")
+
+    huge = "1" + "0" * 400
+    monkeypatch.setattr(cli, "bell", no_table)
+    monkeypatch.setattr(cli, "bell_mod_table", no_table)
+    for n in (str(cli.ASYM_GUARD + 1), huge):
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, "bell", "--max", n)
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and out == ""
+        assert err.startswith("error: max=%s exceeds the bell guard (%d;" % (n, cli.ASYM_GUARD))
+    # the --mod estimate is (N + 1)^2 times the machine words of M
+    for n, m, log10_cost in (("14200", "1000003", "8.3"), ("6000", "1" + "0" * 100, "8.3"),
+                             (huge, "7", "800.0")):
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, "bell", "--max", n, "--mod", m)
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and out == ""
+        assert err.startswith("error: estimated cost about 10^%s exceeds the bell --mod cost guard (%d;"
+                              % (log10_cost, cli.BELL_MOD_GUARD))
+        assert err.endswith("pass --force to override\n")
+    monkeypatch.undo()
+    # the benchmark's largest jobs: bell --max 2500, bell --max 3040 --mod M for M <= 10^6 + 3
+    assert 2500 <= cli.ASYM_GUARD and 3041 ** 2 <= cli.BELL_MOD_GUARD
+    monkeypatch.setattr(cli, "ASYM_GUARD", 3)
+    monkeypatch.setattr(cli, "BELL_MOD_GUARD", 20)  # (4 + 1)^2 = 25
+    assert invoke(capsys, "bell", "--max", "4")[0] == 1
+    assert invoke(capsys, "bell", "--max", "4", "--mod", "7")[0] == 1
+    assert invoke(capsys, "bell", "--max", "4", "--force")[:2] == (
+        0, "n,bell\n0,1\n1,1\n2,2\n3,5\n4,15\n")
+    assert invoke(capsys, "bell", "--max", "4", "--mod", "7", "--force")[:2] == (
+        0, "n,bell\n0,1\n1,1\n2,2\n3,5\n4,1\n")
+
+
 def test_eval_and_aggregate(tmp_path, capsys):
     doc = {"length": 1, "blocks": [[1]], "firsts": [1], "lasts": [1], "q": "1"}
     path = tmp_path / "singletons.json"
@@ -316,6 +352,11 @@ def test_deterministic_output(capsys):
         ["fit"],
         ["asym", "--target", "dim", "--n", "1"],
         ["nosuchcommand"],
+        # past --force, a size no list can index is refused, not run
+        ["fit", "--target", "int", "--k", "1" + "0" * 400, "--force"],
+        ["dist", "dim", "--n", "1" + "0" * 400, "--brute", "--force"],
+        ["moments", "int", "--n", "1" + "0" * 400, "--k", "1", "--force"],
+        ["bell", "--max", "1" + "0" * 400, "--force"],
     ],
 )
 def test_user_errors_exit_one(argv, capsys):
@@ -323,6 +364,11 @@ def test_user_errors_exit_one(argv, capsys):
     assert code == 1
     assert err.strip().startswith("error:")
     assert len(err.strip().splitlines()) == 1
+
+
+def test_invalid_int_message(capsys):
+    assert invoke(capsys, "bell", "--max", "abc") == (
+        1, "", "error: argument --max: invalid int value: 'abc'\n")
 
 
 def test_eval_bad_partition(tmp_path, capsys):

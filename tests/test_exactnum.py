@@ -53,6 +53,20 @@ def test_bell_mod_table_shape():
     assert table == [b % 4 for b in BELL_SMALL]
 
 
+# moduli on both sides of the reduction bound m * 2^100: rows of small moduli
+# are reduced every few rows, rows of 10^400 + 1 never below n = 600
+@pytest.mark.parametrize("m", [2, 3, 255, 256, 257, 2**61 - 1, 2**64 + 13, 10**30 + 57, 10**400 + 1])
+def test_bell_mod_table_matches_exact(m):
+    assert bell_mod_table(600, m) == [bell(n) % m for n in range(601)]
+    assert bell_mod_table(0, m) == [1]
+    assert bell_mod_table(1, m) == [1, 1]
+
+
+@given(st.integers(min_value=0, max_value=400), st.integers(min_value=2, max_value=2**200))
+def test_bell_mod_table_any_modulus(n, m):
+    assert bell_mod_table(n, m) == [bell(i) % m for i in range(n + 1)]
+
+
 def test_bell_negative_rejected():
     with pytest.raises(ValueError):
         bell(-1)
