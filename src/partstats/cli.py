@@ -29,8 +29,9 @@ AGGREGATE_GUARD = 2 * 10**7
 AGGREGATE_COST = ("at the bound crossings_k(2)*nestings (n=120) took 2.8 s, "
                   "one singleton pattern (n=3162) 12 s")
 # bound on recursions.moments_cost for `moments`, on the unknowns of the
-# `fit --target` profile, and on n for `asym`, whose exact B_n costs about
-# n^3; measured at and past the bounds on CPython 3.11.7, 2 vCPU
+# `fit --target` and `fit --pattern` profiles, and on n for `asym`, whose
+# exact B_n costs about n^3; measured at and past the bounds on CPython
+# 3.11.7, 2 vCPU
 MOMENTS_GUARD = 3 * 10**10
 MOMENTS_COST = ("at the bound dim n=3100 k=0 took 15 s, dim n=0 k=773 9 s, "
                 "int n=1955 k=1 14 s and 24 MiB")
@@ -82,8 +83,12 @@ def _guard_n(n: int, force: bool, bound: int = BRUTE_GUARD, what: str = "brute-f
                 cost = "; about 10^%.1f partitions" % log10_bell
             except OverflowError:  # ln B_n overflows a float only from n > 10^305 on
                 cost = "; over 10^(10^300) partitions"
-        raise CliError("%s=%d exceeds the %s (%d%s); pass --force to override"
-                       % (name, n, what, bound, cost))
+        try:
+            shown = "%d" % n
+        except ValueError:  # past CPython's int-to-str digit limit
+            shown = "about 10^%.1f" % math.log10(n)
+        raise CliError("%s=%s exceeds the %s (%d%s); pass --force to override"
+                       % (name, shown, what, bound, cost))
 
 
 def _guard_cost(cost: int, force: bool, bound: int, what: str, measured: str) -> None:
@@ -100,16 +105,17 @@ def _guard_aggregate(f: statistics.Statistic, ns, force: bool) -> None:
 
 
 def _check_sizes(args) -> None:
-    """Refuse a --n, --k or --max that no list can index.
+    """Refuse a --n, --k, --max, --profile-degree or --profile-k that no
+    list can index.
 
     Run only under --force: without it, every guard refuses such a size
     first and states its estimated cost.
     """
-    for name in ("n", "k", "max"):
+    for name in ("n", "k", "max", "profile_degree", "profile_k"):
         value = getattr(args, name, None)
         if value is not None and value > sys.maxsize:
             raise CliError("--%s exceeds the largest size a list can index (%d)"
-                           % (name, sys.maxsize))
+                           % (name.replace("_", "-"), sys.maxsize))
 
 
 def _csv(header: str, rows) -> str:
@@ -128,9 +134,10 @@ def _csv(header: str, rows) -> str:
 
 
 # ---------------------------------------------------------------------------
-# subcommands. Each dim/int function is looked up on its module at call
-# time, so a wrapper bound onto the module later (perfbench's tracer, a test
-# spy) sees every call.
+# subcommands. ``run`` binds each ``_cmd_*`` handler once per process, when
+# it builds its parser. Each dim/int function is still looked up on its
+# module at call time, so a wrapper bound onto the module later (perfbench's
+# tracer, a test spy) sees every call.
 # ---------------------------------------------------------------------------
 
 def _cmd_bell(args) -> None:
@@ -210,9 +217,11 @@ def _cmd_fit(args) -> None:
             (p.k for p, _ in f.terms), default=0
         )
         try:
-            profile = shifted_bell.profile_generic(deg, pk)
+            unknowns = shifted_bell.generic_unknowns(deg, pk)
         except ValueError as e:
             raise CliError("invalid profile: %s" % e)
+        _guard_n(unknowns, args.force, FIT_GUARD, "fit guard", "; " + FIT_COST, "unknowns")
+        profile = shifted_bell.profile_generic(deg, pk)
         points = shifted_bell.default_sample_points(profile)
         _guard_aggregate(f, points, args.force)
         samples = [(n, statistics.aggregate(f, n)) for n in points]
@@ -316,10 +325,15 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+_parser = None  # built by the first run() call; build_parser() makes a new one
+
+
 def run(argv) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
         if getattr(args, "force", False):
             _check_sizes(args)
         args.func(args)

@@ -114,23 +114,33 @@ def from_blocks(blocks: Iterable[Iterable[int]]) -> SetPartition:
 
 
 def iter_rgs(n: int) -> Iterator[tuple]:
-    """All restricted growth strings of length n in lexicographic order."""
-    if n == 0:
-        yield ()
+    """All restricted growth strings of length n in lexicographic order.
+
+    The first n - 1 positions advance as an odometer; each prefix is built
+    as a tuple once and then joined to every value the last position can
+    take, from 1-tuples made up front.
+    """
+    if n < 2:
+        yield (0,) * n
         return
-    rgs = [0] * n
+    m = n - 1
+    ends = [(a,) for a in range(n)]
+    rgs = [0] * m
     # maxp[j] = max(rgs[0..j-1]); position j can be incremented iff rgs[j] <= maxp[j]
-    maxp = [0] * n
+    maxp = [0] * m
     while True:
-        yield tuple(rgs)
-        j = n - 1
+        prefix = tuple(rgs)
+        top = maxp[-1] if maxp[-1] > rgs[-1] else rgs[-1]
+        for end in ends[:top + 2]:
+            yield prefix + end
+        j = m - 1
         while j > 0 and rgs[j] > maxp[j]:
             j -= 1
         if j == 0:
             return
         rgs[j] += 1
         mx = maxp[j] if maxp[j] > rgs[j] else rgs[j]
-        for i in range(j + 1, n):
+        for i in range(j + 1, m):
             rgs[i] = 0
             maxp[i] = mx
 
@@ -150,8 +160,17 @@ def brute_distribution(n: int, target: str) -> dict:
     the block whose latest element is l adds the arc (l, x): ``dim`` gains
     x - l - 1, and ``int`` gains the earlier arcs (e, f) with e < l < f, one
     per other block b with firsts[b] < l < lasts[b].  Opening a block adds 0.
-    The last element's choices are counted at once.  The stack is three
-    arrays indexed by element, so any n runs without recursion.
+    The last element's choices are counted at once.
+
+    For ``int`` the walk keeps cover[b], the number of blocks whose span
+    (firsts, lasts) strictly contains lasts[b], so joining block c adds
+    cover[c].  The join moves lasts[c] from l to x, the largest element so
+    far: no span contains x, so cover[c] becomes 0, and the span of c now
+    also contains every lasts[b] between l and x, that is every lasts[b] > l
+    (all of them exceed firsts[c] <= l); no other span changes.  Undoing the
+    join restores cover[c] and lasts[c] = l, after which the same test
+    lasts[b] > l finds the blocks it bumped.  The stack is four arrays
+    indexed by element, so any n runs without recursion.
     """
     if target not in ("dim", "int"):
         raise ValueError("target must be 'dim' or 'int', got %r" % (target,))
@@ -161,10 +180,10 @@ def brute_distribution(n: int, target: str) -> dict:
         return {0: 1}
     crossings = target == "int"
     hist = defaultdict(int)
-    firsts, lasts = [1], [1]
+    firsts, lasts, cover = [1], [1], [0]
     # per element x < n: the block it joined, that block's latest element
-    # before x, and the weight of elements 1..x
-    choice, saved, weight = [0] * n, [0] * n, [0] * n
+    # and its cover before x, and the weight of elements 1..x
+    choice, saved, saved_cover, weight = [0] * n, [0] * n, [0] * n, [0] * n
     x, c = 2, 0  # element x tries block c next; c == len(lasts) opens a block
     while x > 1:
         nb = len(lasts)
@@ -173,7 +192,11 @@ def brute_distribution(n: int, target: str) -> dict:
             if c < nb:
                 l = lasts[c]
                 if crossings:
-                    w += len([1 for f, t in zip(firsts, lasts) if f < l < t])
+                    w += cover[c]
+                    saved_cover[x], cover[c] = cover[c], 0
+                    for b in range(nb):
+                        if lasts[b] > l:
+                            cover[b] += 1
                 else:
                     w += x - l - 1
                 saved[x] = l
@@ -181,15 +204,15 @@ def brute_distribution(n: int, target: str) -> dict:
             else:
                 firsts.append(x)
                 lasts.append(x)
+                cover.append(0)
             choice[x], weight[x] = c, w
             x, c = x + 1, 0
             continue
         if x == n:
             hist[w] += 1  # x opens a block
             if crossings:
-                spans = list(zip(firsts, lasts))
-                for l in lasts:
-                    hist[w + len([1 for f, t in spans if f < l < t])] += 1
+                for v in cover:
+                    hist[w + v] += 1
             else:
                 for l in lasts:
                     hist[w + x - l - 1] += 1
@@ -199,8 +222,14 @@ def brute_distribution(n: int, target: str) -> dict:
         if firsts[c] == x:
             firsts.pop()
             lasts.pop()
+            cover.pop()
         else:
-            lasts[c] = saved[x]
+            l = lasts[c] = saved[x]
+            if crossings:
+                cover[c] = saved_cover[x]
+                for b in range(len(lasts)):
+                    if lasts[b] > l:
+                        cover[b] -= 1
         c += 1
     return dict(hist)
 

@@ -166,6 +166,14 @@ def target_unknowns(target: str, k: int) -> int:
     raise ValueError("target must be 'dim' or 'int', got %r" % (target,))
 
 
+def generic_unknowns(big_n: int, k: int) -> int:
+    """``profile_generic(big_n, k).unknowns``, in O(1): degrees 0..big_n
+    for j <= big_n, then j - 1 for j = big_n + 1..big_n + k."""
+    if big_n < 0 or k < 0:
+        raise ValueError("profile parameters must be nonnegative")
+    return (big_n + 1) * (big_n + 2) // 2 + k * big_n + k * (k + 1) // 2
+
+
 HOLDOUT = 3  # trailing samples that fit() keeps out of the training rows
 
 

@@ -304,6 +304,75 @@ def test_negative_profile_parameters_exit_one(tmp_path, capsys):
         assert code == 1 and out == "" and err.startswith("error: invalid profile")
 
 
+def test_fit_pattern_profile_guard_and_force(tmp_path, capsys, monkeypatch):
+    # (D+1)(D+2)/2 + k*D + k(k+1)/2 unknowns, counted before any profile is
+    # built; the document has degree D = 1 and pattern length k = 1
+    path = tmp_path / "singletons.json"
+    path.write_text(json.dumps({"length": 1, "blocks": [[1]], "firsts": [1], "lasts": [1], "q": "1"}))
+    fit = ("fit", "--pattern", str(path))
+    big = 10**400
+    huge = str(big)
+    for option, value, shown in (("--profile-degree", huge, "%d" % ((big + 1) * (big + 2) // 2 + big + 1)),
+                                 ("--profile-k", huge, "%d" % (3 + big + big * (big + 1) // 2)),
+                                 ("--profile-degree", "9" * 4000, "about 10^7999.7"),
+                                 ("--profile-degree", "12", "104")):
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, *fit, option, value)
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and out == ""
+        assert err.startswith("error: unknowns=%s exceeds the fit guard (%d;" % (shown, cli.FIT_GUARD))
+        assert err.endswith("pass --force to override\n")
+    for option in ("--profile-degree", "--profile-k"):
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, *fit, option, huge, "--force")
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and out == ""
+        assert err == "error: %s exceeds the largest size a list can index (%d)\n" % (option, sys.maxsize)
+    monkeypatch.setattr(cli, "FIT_GUARD", 3)
+    small = fit + ("--profile-degree", "1", "--profile-k", "1")  # 5 unknowns
+    assert invoke(capsys, *small)[0] == 1
+    code, out, _ = invoke(capsys, *small, "--force")
+    assert code == 0 and out.splitlines()[0] == "j=-1: 1*n"
+
+
+def test_run_reuses_one_parser_without_leaking_options(tmp_path, capsys, monkeypatch):
+    built = []
+
+    def counting_build_parser(_build=cli.build_parser):
+        built.append(1)
+        return _build()
+
+    assert cli.build_parser() is not cli.build_parser()
+    monkeypatch.setattr(cli, "MOMENTS_GUARD", 10**4)  # moments_cost(2, 4) = 10215
+    monkeypatch.setattr(cli, "FIT_GUARD", 3)  # dim k = 1 has 4 unknowns
+    target = tmp_path / "bell.csv"
+    calls = [
+        ("moments", "dim", "--n", "4", "--k", "2", "--force"),
+        ("moments", "dim", "--n", "4", "--k", "2"),
+        ("fit", "--target", "dim", "--k", "1", "--force"),
+        ("fit", "--target", "dim", "--k", "1"),
+        ("fit",),
+        ("bell", "--max", "3", "--out", str(target)),
+        ("bell", "--max", "3"),
+        ("bell", "--max", "abc"),
+        ("bell", "--max", "4"),
+        ("dist", "nope", "--n", "3"),
+        ("dist", "int", "--n", "15", "--brute"),
+        ("dist", "int", "--n", "15"),
+    ]
+    fresh = []
+    for argv in calls:
+        monkeypatch.setattr(cli, "_parser", cli.build_parser())
+        fresh.append(invoke(capsys, *argv)[:2])
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    assert [invoke(capsys, *argv)[:2] for argv in calls] == fresh
+    assert len(built) == 1
+    codes = [code for code, _ in fresh]
+    assert codes == [0, 1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 0]
+    assert fresh[5][1] == "" and fresh[6][1] == target.read_text() == "n,bell\n0,1\n1,1\n2,2\n3,5\n"
+
+
 def test_dim_int_functions_are_looked_up_at_call_time(capsys, monkeypatch):
     # perfbench's tracer rebinds module attributes; the CLI must see them
     called = set()

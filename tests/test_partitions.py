@@ -16,12 +16,39 @@ from partstats.partitions import (
     marked_enumerate,
     parse_partition,
 )
+from partstats.recursions import int_distribution
 from partstats.statistics import builtin
 
 
 def test_enumeration_counts_match_bell():
     for n in range(9):
         assert sum(1 for _ in enumerate_partitions(n)) == bell(n)
+
+
+def scanning_rgs(n):
+    """The odometer over all n positions that iter_rgs replaced: the oracle."""
+    if n == 0:
+        yield ()
+        return
+    rgs = [0] * n
+    maxp = [0] * n
+    while True:
+        yield tuple(rgs)
+        j = n - 1
+        while j > 0 and rgs[j] > maxp[j]:
+            j -= 1
+        if j == 0:
+            return
+        rgs[j] += 1
+        mx = maxp[j] if maxp[j] > rgs[j] else rgs[j]
+        for i in range(j + 1, n):
+            rgs[i] = 0
+            maxp[i] = mx
+
+
+def test_iter_rgs_matches_the_scanning_generator():
+    for n in range(10):
+        assert list(iter_rgs(n)) == list(scanning_rgs(n))
 
 
 def test_rgs_enumeration_is_strictly_increasing_lex():
@@ -132,3 +159,9 @@ def test_brute_distribution_matches_arcs_and_the_evaluator():
     for n, target in ((3, "nest"), (-1, "dim")):
         with pytest.raises(ValueError):
             brute_distribution(n, target)
+
+
+def test_brute_int_distribution_matches_the_transfer_dp():
+    # the DP shares no code with the walk's cover counts
+    for n in (10, 11):
+        assert brute_distribution(n, "int") == int_distribution(n)

@@ -14,6 +14,7 @@ from partstats.shifted_bell import (
     ShiftedBellPolynomial,
     default_sample_points,
     fit,
+    generic_unknowns,
     profile_dim,
     profile_generic,
     profile_int,
@@ -69,6 +70,15 @@ def test_target_unknowns_count_the_profiles():
         assert target_unknowns("int", k) == profile_int(k).unknowns
     with pytest.raises(ValueError):
         target_unknowns("nest", 2)
+
+
+def test_generic_unknowns_count_the_profile():
+    for big_n in range(12):
+        for k in range(8):
+            assert generic_unknowns(big_n, k) == profile_generic(big_n, k).unknowns
+    for big_n, k in ((-1, 0), (0, -1)):
+        with pytest.raises(ValueError):
+            generic_unknowns(big_n, k)
 
 
 def test_profile_validation():
