@@ -29,7 +29,6 @@ from .partitions import (
     parse_partition,
 )
 from .recursions import (
-    DistLayer,
     dim_distribution,
     dim_moments,
     dim_moments_range,
@@ -56,6 +55,7 @@ from .statistics import (
     StatisticError,
     WeightPolynomial,
     aggregate,
+    aggregate_range,
     builtin,
     merge_product,
     occurrences,
@@ -68,7 +68,6 @@ __version__ = "1.0.0"
 __all__ = [
     "AlphaValue",
     "AsymEstimate",
-    "DistLayer",
     "DomainError",
     "FitError",
     "FitProfile",
@@ -81,6 +80,7 @@ __all__ = [
     "StatisticError",
     "WeightPolynomial",
     "aggregate",
+    "aggregate_range",
     "alpha",
     "bell",
     "bell_mod",

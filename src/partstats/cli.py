@@ -22,9 +22,9 @@ BRUTE_GUARD = 14
 # bound on CPython 3.11.7, 2 vCPU
 DP_GUARD = 200
 DP_COST = "at n=200 dist dim took 27 s and 142 MiB, dist int 85 s and 101 MiB"
-# bound on statistics.aggregate_cost summed over the aggregates of
-# `aggregate` and `fit --pattern`; measured at the bound on CPython 3.11.7,
-# 2 vCPU (the time per unit grows with n, as the DP's integers widen)
+# bound on statistics.aggregate_cost at the largest size aggregated (`fit
+# --pattern` takes every sample point from one run); measured at the bound on
+# CPython 3.11.7, 2 vCPU (the time per unit grows as the DP's integers widen)
 AGGREGATE_GUARD = 2 * 10**7
 AGGREGATE_COST = ("at the bound crossings_k(2)*nestings (n=120) took 2.8 s, "
                   "one singleton pattern (n=3162) 12 s")
@@ -99,8 +99,8 @@ def _guard_cost(cost: int, force: bool, bound: int, what: str, measured: str) ->
         )
 
 
-def _guard_aggregate(f: statistics.Statistic, ns, force: bool) -> None:
-    _guard_cost(sum(statistics.aggregate_cost(f, n) for n in ns), force, AGGREGATE_GUARD,
+def _guard_aggregate(f: statistics.Statistic, n: int, force: bool) -> None:
+    _guard_cost(statistics.aggregate_cost(f, n), force, AGGREGATE_GUARD,
                 "aggregate cost guard", AGGREGATE_COST)
 
 
@@ -189,7 +189,7 @@ def _cmd_aggregate(args) -> None:
     if args.n < 0:
         raise CliError("--n must be nonnegative")
     f = _load_statistic(args.pattern)
-    _guard_aggregate(f, [args.n], args.force)
+    _guard_aggregate(f, args.n, args.force)
     _write(args, "%s\n" % statistics.aggregate(f, args.n))
 
 
@@ -223,8 +223,9 @@ def _cmd_fit(args) -> None:
         _guard_n(unknowns, args.force, FIT_GUARD, "fit guard", "; " + FIT_COST, "unknowns")
         profile = shifted_bell.profile_generic(deg, pk)
         points = shifted_bell.default_sample_points(profile)
-        _guard_aggregate(f, points, args.force)
-        samples = [(n, statistics.aggregate(f, n)) for n in points]
+        _guard_aggregate(f, max(points), args.force)
+        sums = statistics.aggregate_range(f, max(points))
+        samples = [(n, sums[n]) for n in points]
         try:
             result = shifted_bell.fit(samples, profile)
         except shifted_bell.FitError as e:

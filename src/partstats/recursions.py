@@ -9,19 +9,10 @@ is the honest distribution over ordinary set partitions.
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass
 from math import comb
 from operator import mul
 
 from .partitions import MarkedSetPartition, crossing_count
-
-
-@dataclass(frozen=True)
-class DistLayer:
-    """Exact counts f(n; A, B) keyed by (open blocks A, weight B)."""
-
-    n: int
-    cells: dict
 
 
 # ---------------------------------------------------------------------------
@@ -146,9 +137,9 @@ def _cells(target: str, n: int, table: bool) -> dict:
 # front ends: dimension and intertwining exponents
 # ---------------------------------------------------------------------------
 
-def dim_table(n: int) -> DistLayer:
-    """f(n; A, B): marked partitions with A open blocks and weight B."""
-    return DistLayer(n, _cells("dim", n, True))
+def dim_table(n: int) -> dict:
+    """{(A, B): f(n; A, B)}: marked partitions with A open blocks and weight B."""
+    return _cells("dim", n, True)
 
 
 def dim_distribution(n: int) -> dict:
@@ -166,9 +157,9 @@ def dim_moments(kmax: int, n: int) -> list:
     return dim_moments_range(kmax, n)[n]
 
 
-def int_table(n: int) -> DistLayer:
-    """f_i(n; A, B): marked partitions by open blocks and crossing weight."""
-    return DistLayer(n, _cells("int", n, True))
+def int_table(n: int) -> dict:
+    """{(A, B): f_i(n; A, B)}: marked partitions by open blocks and crossing weight."""
+    return _cells("int", n, True)
 
 
 def int_distribution(n: int) -> dict:

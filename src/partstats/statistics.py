@@ -369,7 +369,7 @@ class Statistic:
     pattern that can occur: weights given on an equal pattern add, and zero
     weights and patterns whose constraints cannot hold together drop.  The
     statistic is compiled as it is built: each term keeps its step table and
-    its weight as integer coefficients over the common denominator ``_den``.
+    its weight in y-power groups over the common denominator ``_den``.
     """
 
     __slots__ = ("terms", "_den", "_tables", "_folded")
@@ -383,29 +383,27 @@ class Statistic:
         steps = {p: _steps(p) for p, q in acc.items() if q.terms}
         self.terms = tuple((p, acc[p]) for p, s in steps.items() if s is not None)
         self._den = den = lcm(*(c.denominator for _, q in self.terms for _, c in q.terms))
-        self._tables = [
-            (p.k, steps[p], [
-                (int(c * den), tuple((i, e) for i, e in enumerate(mono[:-1]) if e), mono[-1])
-                for mono, c in q.terms
-            ])
-            for p, q in self.terms
-        ]
+        self._tables = []
+        for p, q in self.terms:
+            groups: dict = {}
+            for mono, c in q.terms:
+                powers = tuple((i, e) for i, e in enumerate(mono[:-1]) if e)
+                groups.setdefault(powers, []).append((int(c * den), mono[-1]))
+            self._tables.append((p.k, steps[p], groups))
         self._folded = (None, None)
 
     def _weights_at(self, n: int) -> list:
         """``[(steps, weight)]`` for partitions of [n], in the form
-        ``_search`` and ``aggregate`` take; patterns longer than n and zero
-        weights drop out."""
+        ``_search`` takes: each y-power group's coefficients with m = n
+        folded in.  Patterns longer than n and zero weights drop out."""
         last_n, folded_terms = self._folded
         if n != last_n:
             folded_terms = []
-            for k, steps, monos in self._tables:
+            for k, steps, groups in self._tables:
                 if k > n:
                     continue
-                folded: dict = {}
-                for c, powers, em in monos:
-                    folded[powers] = folded.get(powers, 0) + c * n ** em
-                weight = tuple((c, powers) for powers, c in folded.items() if c)
+                folded = ((sum(c * n ** e for c, e in ms), powers) for powers, ms in groups.items())
+                weight = tuple((c, powers) for c, powers in folded if c)
                 if not weight:
                     continue
                 if len(weight) == 1 and not weight[0][1]:
@@ -461,31 +459,39 @@ class Statistic:
 # element just placed, so the next element must be position i.  A pair
 # gives exactly one path: each element's move is read off from whether it
 # is a position, whether its block is new, and which block it joins, and
-# the moves allowed are exactly those the constraints allow.  The answer is
-# the weight on the states with i = k after element n.
+# the moves allowed are exactly those the constraints allow.  The answer at
+# n is the weight on the states with i = k after element n.  No constraint
+# needs a later element, so one run up to nmax answers every n <= nmax.
+
+def aggregate_range(f: Statistic, nmax: int) -> list:
+    """Exact sums of f over all partitions of [n] for n = 0..nmax, by one
+    transfer DP per pattern and y-monomial; no partition is listed."""
+    if nmax < 0:
+        raise StatisticError("aggregate needs n >= 0, not %d" % nmax)
+    totals = [0] * (nmax + 1)
+    for k, steps, groups in f._tables:
+        if k > nmax:
+            continue
+        for powers, ms in groups.items():
+            for n, s in enumerate(_transfer_dp(steps, powers, nmax)):
+                totals[n] += s * sum(c * n ** e for c, e in ms)
+    return [Fraction(t, f._den) for t in totals]
+
 
 def aggregate(f: Statistic, n: int) -> Fraction:
-    """Exact sum of f over all partitions of [n], by one transfer DP per
-    pattern and monomial (``_transfer_dp``); no partition is listed."""
-    if n < 0:
-        raise StatisticError("aggregate needs n >= 0, not %d" % n)
-    total = 0
-    for steps, weight in f._weights_at(n):
-        monos = ((weight, ()),) if type(weight) is int else weight
-        total += sum(c * _transfer_dp(steps, powers, n) for c, powers in monos)
-    return Fraction(total, f._den)
+    """Exact sum of f over all partitions of [n]."""
+    return aggregate_range(f, n)[n]
 
 
 def aggregate_cost(f: Statistic, n: int) -> int:
-    """An estimate of the work of ``aggregate(f, n)``: n^2 times, summed
-    over the terms that fit in [n], (k + 1) times the term's monomials.
-    One DP updates about (k + 1) * n^2 / 2 cells."""
-    return n * n * sum((k + 1) * len(monos) for k, _, monos in f._tables if k <= n)
+    """An estimate of the work of ``aggregate_range(f, n)``: n^2 (k + 1) per y-monomial
+    group of each term that fits in [n]; one DP updates about (k + 1) n^2 / 2 cells."""
+    return n * n * sum((k + 1) * len(groups) for k, _, groups in f._tables if k <= n)
 
 
-def _transfer_dp(steps: tuple, powers: tuple, n: int) -> int:
-    """Sum over the partitions of [n] and their occurrences x of ``steps``
-    of prod x[i]^e over ``powers``, a tuple of (position, exponent) pairs."""
+def _transfer_dp(steps: tuple, powers: tuple, nmax: int) -> list:
+    """For n = 0..nmax, the sum over the partitions of [n] and their occurrences
+    x of ``steps`` of prod x[i]^e over ``powers``, (position, exponent) pairs."""
     k = len(steps)
     exps = [0] * k
     for i, e in powers:
@@ -499,7 +505,8 @@ def _transfer_dp(steps: tuple, powers: tuple, n: int) -> int:
         for i in range(k + 1)
     ]
     rows = [[1]] + [[0]] * k  # rows[i][b] after element 0
-    for v in range(1, n + 1):
+    sums = [sum(rows[k])]
+    for v in range(1, nmax + 1):
         new = []
         for i in range(k + 1):
             old = rows[i]
@@ -517,7 +524,8 @@ def _transfer_dp(steps: tuple, powers: tuple, n: int) -> int:
                 row = [r + f * w for r, w in zip(row, placed)] + row[v:]
             new.append(row)
         rows = new
-    return sum(rows[k])
+        sums.append(sum(rows[k]))
+    return sums
 
 
 # ---------------------------------------------------------------------------

@@ -66,7 +66,7 @@ def test_criterion_02_dimension_dp_vs_oracle():
         for mu in marked_enumerate(n):
             key = (mu.open_count, marked_dimension(mu))
             brute[key] = brute.get(key, 0) + 1
-        assert dim_table(n).cells == brute
+        assert dim_table(n) == brute
     d = builtin("dimension")
     for n in range(11):
         hist: dict = {}
@@ -115,9 +115,9 @@ def test_criterion_03_table_fixtures():
 
 def test_criterion_04_zero_columns():
     for n in range(1, 21):
-        assert dim_table(n).cells.get((0, 0), 0) == 2 ** (n - 1)
+        assert dim_table(n).get((0, 0), 0) == 2 ** (n - 1)
     for n in range(15):
-        assert int_table(n).cells.get((0, 0), 0) == CATALAN[n]
+        assert int_table(n).get((0, 0), 0) == CATALAN[n]
     _ok(4, "f(n,0,0) = 2^(n-1) for n <= 20 and crossing-free counts are Catalan for n <= 14")
 
 

@@ -201,12 +201,17 @@ def test_aggregate_cost_guard_and_force(tmp_path, capsys, monkeypatch):
     assert invoke(capsys, "aggregate", "--pattern", str(path), "--n", "8")[0] == 1
     assert invoke(capsys, "aggregate", "--pattern", str(path), "--n", "8", "--force")[:2] == (
         0, "%d\n" % (8 * bell(7)))
-    # fit --pattern sums the estimate over its sample points
+    # fit --pattern samples n = 1..8 from one DP run, so the guard charges
+    # the estimate at n = 8 only: 2 * 8^2 = 128, not the sum 408
     fit = ("fit", "--pattern", str(path), "--profile-degree", "1", "--profile-k", "1")
+    monkeypatch.setattr(cli, "AGGREGATE_GUARD", 127)
     code, out, err = invoke(capsys, *fit)
-    assert code == 1 and out == "" and "aggregate cost guard (100;" in err
+    assert code == 1 and out == "" and "aggregate cost guard (127;" in err
     code, out, _ = invoke(capsys, *fit, "--force")
     assert code == 0 and out.splitlines()[0] == "j=-1: 1*n"
+    monkeypatch.setattr(cli, "AGGREGATE_GUARD", 128)
+    code, out, err = invoke(capsys, *fit)
+    assert code == 0 and err == "" and out.splitlines()[0] == "j=-1: 1*n"
 
 
 def test_fit_target(capsys):

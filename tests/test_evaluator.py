@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from partstats.exactnum import bell
 from partstats.partitions import SetPartition, canonical_rgs, enumerate_partitions, iter_rgs
-from partstats.recursions import dim_moments, int_moments
+from partstats.recursions import dim_moments_range, int_moments_range
 from partstats.statistics import (
     MAX_MERGED_LENGTH,
     Pattern,
@@ -25,9 +25,12 @@ from partstats.statistics import (
     WeightPolynomial,
     _merges,
     aggregate,
+    aggregate_cost,
+    aggregate_range,
     builtin,
     merge_product,
     occurrences,
+    pattern_from_dict,
 )
 from test_acceptance import MERGE_PAIRS, _make
 
@@ -354,51 +357,60 @@ BUILTINS = [
 @pytest.mark.parametrize("name,params", BUILTINS, ids=[n + str(p) for n, p in BUILTINS])
 def test_aggregate_of_builtin_matches_enumeration(name, params):
     f = builtin(name, **params)
-    for n in range(10):
-        assert aggregate(f, n) == enumeration_aggregate(f, n)
+    assert aggregate_range(f, 9) == [enumeration_aggregate(f, n) for n in range(10)]
 
 
 @pytest.mark.parametrize("pair", MERGE_PAIRS, ids=["%s*%s" % p for p in MERGE_PAIRS])
 def test_aggregate_of_merge_product_matches_enumeration(pair):
     f = _make(pair[0]) * _make(pair[1])
-    for n in range(8):
-        assert aggregate(f, n) == enumeration_aggregate(f, n)
+    assert aggregate_range(f, 7) == [enumeration_aggregate(f, n) for n in range(8)]
 
 
 @settings(max_examples=60, deadline=None)
 @given(statistics(max_terms=3, max_k=5))
 def test_aggregate_of_random_statistic_matches_enumeration(f):
-    for n in range(8):
-        assert aggregate(f, n) == enumeration_aggregate(f, n)
+    assert aggregate_range(f, 7) == [enumeration_aggregate(f, n) for n in range(8)]
 
 
 @settings(max_examples=15, deadline=None)
 @given(statistics(max_terms=2, max_k=3), statistics(max_terms=2, max_k=3))
 def test_aggregate_of_random_product_matches_enumeration(f1, f2):
     f = f1 * f2
-    for n in range(8):
-        assert aggregate(f, n) == enumeration_aggregate(f, n)
+    assert aggregate_range(f, 7) == [enumeration_aggregate(f, n) for n in range(8)]
 
 
 def test_aggregate_closed_forms_at_n_150():
-    n = 150
-    assert aggregate(builtin("blocks"), n) == bell(n + 1) - bell(n)
+    ns = range(151)
+    assert aggregate_range(builtin("blocks"), 150) == [bell(n + 1) - bell(n) for n in ns]
     for i in (1, 2, 5):
-        assert aggregate(builtin("blocks_of_size", i=i), n) == comb(n, i) * bell(n - i)
-    assert aggregate(builtin("levels"), n) == (n - 1) * bell(n - 1)
+        assert aggregate_range(builtin("blocks_of_size", i=i), 150) == [
+            comb(n, i) * bell(n - i) if n >= i else 0 for n in ns]
+    assert aggregate_range(builtin("levels"), 150) == [
+        (n - 1) * bell(n - 1) if n else 0 for n in ns]
 
 
 def test_aggregate_matches_the_exponent_moments():
-    d, cr2 = builtin("dimension"), builtin("crossings_k", k=2)
-    for n in range(61):
-        assert aggregate(d, n) == dim_moments(1, n)[1]
-        assert aggregate(cr2, n) == int_moments(1, n)[1]
+    assert aggregate_range(builtin("dimension"), 60) == [m[1] for m in dim_moments_range(1, 60)]
+    assert aggregate_range(builtin("crossings_k", k=2), 60) == [
+        m[1] for m in int_moments_range(1, 60)]
 
 
 def test_aggregate_of_negative_n_is_a_statistic_error():
     for n in (-1, -10):
         with pytest.raises(StatisticError):
             aggregate(builtin("blocks"), n)
+        with pytest.raises(StatisticError):
+            aggregate_range(builtin("blocks"), n)
+
+
+def test_aggregate_runs_one_dp_per_y_monomial_group():
+    # four monomials in two y-power groups: y1 * (m - 1)^2 and 3 * m; the
+    # first group's coefficient is 0 at n = 1
+    f = pattern_from_dict({"length": 1, "blocks": [[1]], "q": "y1*m^2 - 2*y1*m + y1 + 3*m"})
+    assert len(f.terms[0][1].terms) == 4
+    for n in (1, 8, 100):
+        assert aggregate_cost(f, n) == n * n * 2 * 2
+    assert aggregate_range(f, 8) == [enumeration_aggregate(f, n) for n in range(9)]
 
 
 def test_pattern_length_is_capped_in_make():
