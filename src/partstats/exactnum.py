@@ -37,10 +37,7 @@ class BellTable:
         with self._lock:
             while self.max_index < n:
                 prev = self._row
-                row = [prev[-1]]
-                for v in prev:
-                    row.append(row[-1] + v)
-                self._row = row
+                self._row = row = list(accumulate(prev, initial=prev[-1]))
                 self._values.append(row[-1])
 
     def __getitem__(self, n: int) -> int:

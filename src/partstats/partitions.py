@@ -8,7 +8,6 @@ external API; the RGS itself is stored 0-indexed by position.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -160,7 +159,6 @@ def brute_distribution(n: int, target: str) -> dict:
     the block whose latest element is l adds the arc (l, x): ``dim`` gains
     x - l - 1, and ``int`` gains the earlier arcs (e, f) with e < l < f, one
     per other block b with firsts[b] < l < lasts[b].  Opening a block adds 0.
-    The last element's choices are counted at once.
 
     For ``int`` the walk keeps cover[b], the number of blocks whose span
     (firsts, lasts) strictly contains lasts[b], so joining block c adds
@@ -171,24 +169,45 @@ def brute_distribution(n: int, target: str) -> dict:
     join restores cover[c] and lasts[c] = l, after which the same test
     lasts[b] > l finds the blocks it bumped.  The stack is four arrays
     indexed by element, so any n runs without recursion.
+
+    The walk places elements 2..n-2 only.  At each such node of weight w the
+    nb^2 + 2nb + 2 ways to place n - 1 and n are counted at once, as the
+    polynomial q^w * P(q), with e1 and e2 the first two elementary symmetric
+    sums of q^(k_b) over the blocks:
+
+    - ``int``, k_b = cover[b]: P = 2 + 3 e1 + (1 + q) e2.  If n - 1 opens a
+      block, n opens one, joins it (both add 0) or joins b (adds k_b).  If
+      n - 1 joins c (adds k_c), n opens or joins c (0) or joins b != c, which
+      adds k_b plus 1 when lasts[b] > lasts[c].  Each pair of blocks is thus
+      counted once with the +1 and once without, whatever the order of lasts.
+    - ``dim``, k_b = n - 1 - lasts[b] >= 1: P = 2 + e1 + 2 q^-1 (e1 + e2).
+      n - 1 joining b adds k_b - 1, n joining b adds k_b, and n joining the
+      block of n - 1 adds 0.
+
+    The histogram is one integer with a slot of S bits per value, so adding
+    a node is a shift and an add.  Every count is at most B_n <= n^n, which
+    is below 2^S for S = n * n.bit_length(); S comes from that bound and not
+    from B_n, so a large forced n starts walking at once.
     """
     if target not in ("dim", "int"):
         raise ValueError("target must be 'dim' or 'int', got %r" % (target,))
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n < 2:
-        return {0: 1}
+    if n < 3:
+        return {0: max(n, 1)}  # B_0 = B_1 = 1 and B_2 = 2, all of weight 0
     crossings = target == "int"
-    hist = defaultdict(int)
+    S = n * n.bit_length()
+    m = n - 1  # the walk stops when m is the next element to place
+    packed = 0
     firsts, lasts, cover = [1], [1], [0]
-    # per element x < n: the block it joined, that block's latest element
+    # per element x < m: the block it joined, that block's latest element
     # and its cover before x, and the weight of elements 1..x
     choice, saved, saved_cover, weight = [0] * n, [0] * n, [0] * n, [0] * n
     x, c = 2, 0  # element x tries block c next; c == len(lasts) opens a block
     while x > 1:
         nb = len(lasts)
         w = weight[x - 1]
-        if x < n and c <= nb:
+        if x < m and c <= nb:
             if c < nb:
                 l = lasts[c]
                 if crossings:
@@ -208,14 +227,18 @@ def brute_distribution(n: int, target: str) -> dict:
             choice[x], weight[x] = c, w
             x, c = x + 1, 0
             continue
-        if x == n:
-            hist[w] += 1  # x opens a block
+        if x == m:
+            # e1 and p2 = sum of q^(2 k_b), packed; e2 = (e1^2 - p2) / 2
+            e1 = p2 = 0
+            for k in (cover if crossings else [m - l for l in lasts]):
+                e1 += 1 << k * S
+                p2 += 1 << 2 * k * S
             if crossings:
-                for v in cover:
-                    hist[w + v] += 1
+                e2 = (e1 * e1 - p2) >> 1  # every slot is even
+                packed += (2 + 3 * e1 + e2 + (e2 << S)) << w * S
             else:
-                for l in lasts:
-                    hist[w + x - l - 1] += 1
+                # e1 + e2 has no constant term, so q^-1 is an exact shift
+                packed += (2 + e1 + ((2 * e1 + e1 * e1 - p2) >> S)) << w * S
         # x has no choice left: undo the choice of x - 1 and try its next block
         x -= 1
         c = choice[x]
@@ -231,7 +254,15 @@ def brute_distribution(n: int, target: str) -> dict:
                     if lasts[b] > l:
                         cover[b] -= 1
         c += 1
-    return dict(hist)
+    hist = {}
+    mask = (1 << S) - 1
+    value = 0
+    while packed:
+        if packed & mask:
+            hist[value] = packed & mask
+        packed >>= S
+        value += 1
+    return hist
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from partstats.partitions import (
     marked_enumerate,
     parse_partition,
 )
-from partstats.recursions import int_distribution
+from partstats.recursions import dim_distribution, int_distribution
 from partstats.statistics import builtin
 
 
@@ -161,7 +161,8 @@ def test_brute_distribution_matches_arcs_and_the_evaluator():
             brute_distribution(n, target)
 
 
-def test_brute_int_distribution_matches_the_transfer_dp():
-    # the DP shares no code with the walk's cover counts
+def test_brute_distribution_matches_the_transfer_dp():
+    # the DPs share no code with the walk or its count of the last two elements
     for n in (10, 11):
         assert brute_distribution(n, "int") == int_distribution(n)
+        assert brute_distribution(n, "dim") == dim_distribution(n)
