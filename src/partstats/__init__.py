@@ -8,8 +8,6 @@ saddle-point asymptotics for very large n.
 """
 
 from .asymptotics import (
-    AlphaValue,
-    AsymEstimate,
     alpha,
     bell_ratio,
     dim_moment_asym,
@@ -17,7 +15,7 @@ from .asymptotics import (
     log_bell_asym,
     log_bell_exact,
 )
-from .exactnum import bell, bell_mod, bell_mod_table, binomial, stirling2
+from .exactnum import bell, bell_mod, bell_mod_table, stirling2
 from .partitions import (
     MarkedSetPartition,
     PartitionError,
@@ -66,8 +64,6 @@ from .statistics import (
 __version__ = "1.0.0"
 
 __all__ = [
-    "AlphaValue",
-    "AsymEstimate",
     "DomainError",
     "FitError",
     "FitProfile",
@@ -86,7 +82,6 @@ __all__ = [
     "bell_mod",
     "bell_mod_table",
     "bell_ratio",
-    "binomial",
     "builtin",
     "default_sample_points",
     "dim_distribution",
@@ -108,6 +103,7 @@ __all__ = [
     "marked_enumerate",
     "merge_product",
     "occurrences",
+    "parse_partition",
     "parse_pattern",
     "pattern_from_dict",
     "profile_dim",

@@ -8,34 +8,14 @@ integers never touch a float directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .exactnum import bell
 
 _RESIDUAL_REL = 1e-12
 
 
-@dataclass(frozen=True)
-class AlphaValue:
-    """Solution of u * e^u = n + 1 with its defining-equation residual."""
-
-    n: int
-    alpha: float
-    residual: float
-
-
-@dataclass(frozen=True)
-class AsymEstimate:
-    """Natural log of an order-T Bell estimate."""
-
-    n: int
-    k: int
-    order: int
-    log_value: float
-
-
-def alpha(n: int) -> AlphaValue:
-    """Newton iteration for u e^u = n + 1; monotone and safe for all n >= 0."""
+def alpha(n: int) -> float:
+    """The root u of u e^u = n + 1 by Newton iteration; monotone, safe for all n >= 0."""
     target = n + 1
     u = max(1.0, math.log(n + 1) - math.log(math.log(n + 3)))
     for _ in range(100):
@@ -48,7 +28,7 @@ def alpha(n: int) -> AlphaValue:
     residual = u * math.exp(u) - target
     if abs(residual) > _RESIDUAL_REL * target:
         raise ArithmeticError("alpha iteration failed to converge at n=%d" % n)
-    return AlphaValue(n, u, residual)
+    return u
 
 
 def log_big_int(x: int) -> float:
@@ -94,13 +74,13 @@ def _r2(u: float, k: int) -> float:
     return num / (1152 * (u + 1) ** 6)
 
 
-def log_bell_asym(n: int, k: int = 0, order: int = 0) -> AsymEstimate:
+def log_bell_asym(n: int, k: int = 0, order: int = 0) -> float:
     """Order-T saddle-point estimate of ln B_{n+k} (T = 0, 1 or 2)."""
     if n < 1 or n + k < 0:
         raise ValueError("need n >= 1 and n + k >= 0")
     if order not in (0, 1, 2):
         raise ValueError("correction order must be 0, 1 or 2")
-    a = alpha(n).alpha
+    a = alpha(n)
     zeta = ((n + 1) * (a + 1) + k) / (a * a)
     log_v = (
         math.lgamma(n + k + 1)
@@ -115,14 +95,14 @@ def log_bell_asym(n: int, k: int = 0, order: int = 0) -> AsymEstimate:
         corr += _r1(a, k) / n
     if order >= 2:
         corr += _r2(a, k) / (n * n)
-    return AsymEstimate(n, k, order, log_v + math.log(corr))
+    return log_v + math.log(corr)
 
 
 def bell_ratio(n: int, k: int) -> float:
     """Leading approximation to B_{n+k} / B_n."""
     if n < 1 or k < 0:
         raise ValueError("need n >= 1 and k >= 0")
-    a = alpha(n).alpha
+    a = alpha(n)
     ratio = 1.0
     for i in range(1, k + 1):
         ratio *= (n + i) / a
@@ -137,7 +117,7 @@ def dim_moment_asym(n: int):
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    a = alpha(n).alpha
+    a = alpha(n)
     mean = (a - 2) / (a * a) * n**2
     s2 = (a * a - 7 * a + 17) / (a**3 * (a + 1)) * n**3
     s2 += (
@@ -157,7 +137,7 @@ def int_moment_asym(n: int):
     """(mean, s2, s3) asymptotics for the intertwining exponent."""
     if n < 2:
         raise ValueError("need n >= 2")
-    a = alpha(n).alpha
+    a = alpha(n)
     mean = (2 * a - 5) / (4 * a * a) * n**2
     s2 = (3 * a * a - 22 * a + 56) / (9 * a**3 * (a + 1)) * n**3
     s2 += (

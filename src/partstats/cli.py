@@ -79,7 +79,7 @@ def _guard_n(n: int, force: bool, bound: int = BRUTE_GUARD, what: str = "brute-f
     if n > bound and not force:
         if not cost:  # brute force visits all B_n partitions; never compute B_n here
             try:
-                log10_bell = asymptotics.log_bell_asym(n).log_value / math.log(10)
+                log10_bell = asymptotics.log_bell_asym(n) / math.log(10)
                 cost = "; about 10^%.1f partitions" % log10_bell
             except OverflowError:  # ln B_n overflows a float only from n > 10^305 on
                 cost = "; over 10^(10^300) partitions"
@@ -204,13 +204,18 @@ def _cmd_fit(args) -> None:
     if args.target and args.pattern:
         raise CliError("fit takes either --target or --pattern, not both")
     if args.target:
-        if args.k < 1:
+        if args.profile_degree is not None or args.profile_k is not None:
+            raise CliError("--profile-degree and --profile-k go with --pattern, not --target")
+        k = 1 if args.k is None else args.k
+        if k < 1:
             raise CliError("--k must be at least 1")
         # asym's k = 1 fit passes no guard
-        _guard_n(shifted_bell.target_unknowns(args.target, args.k), args.force, FIT_GUARD,
+        _guard_n(shifted_bell.target_unknowns(args.target, k), args.force, FIT_GUARD,
                  "fit guard", "; " + FIT_COST, "unknowns")
-        result = _fit_target(args.target, args.k)
+        result = _fit_target(args.target, k)
     elif args.pattern:
+        if args.k is not None:
+            raise CliError("--k goes with --target, not --pattern")
         f = _load_statistic(args.pattern)
         deg = args.profile_degree if args.profile_degree is not None else f.degree()
         pk = args.profile_k if args.profile_k is not None else max(
@@ -249,12 +254,12 @@ def _cmd_asym(args) -> None:
     rel = abs(mean_est / float(exact_mean) - 1.0) if exact_mean else math.inf
     lines = [
         "quantity,exact,asymptotic,rel_error",
-        "alpha,%.12g,%.12g,0" % (a.alpha, a.alpha),
+        "alpha,%.12g,%.12g,0" % (a, a),
         "mean,%.12g,%.12g,%.3e" % (float(exact_mean), mean_est, rel),
     ]
     exact_log = asymptotics.log_bell_exact(n)
     for order in (0, 1, 2):
-        est = asymptotics.log_bell_asym(n, 0, order).log_value
+        est = asymptotics.log_bell_asym(n, 0, order)
         lines.append(
             "log_bell_T%d,%.12g,%.12g,%.3e"
             % (order, exact_log, est, abs(math.exp(est - exact_log) - 1.0))
@@ -308,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("fit", help="fit a shifted Bell polynomial")
     sp.add_argument("--target", choices=["dim", "int"])
-    sp.add_argument("--k", type=int, default=1)
+    sp.add_argument("--k", type=int)
     sp.add_argument("--pattern")
     sp.add_argument("--profile-degree", type=int, default=None)
     sp.add_argument("--profile-k", type=int, default=None)
@@ -339,8 +344,7 @@ def run(argv) -> int:
             _check_sizes(args)
         args.func(args)
         return 0
-    except (CliError, StatisticError, PartitionError, shifted_bell.FitError,
-            shifted_bell.DomainError) as e:
+    except (CliError, StatisticError, PartitionError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 1
     except BrokenPipeError:

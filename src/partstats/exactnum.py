@@ -1,4 +1,4 @@
-"""Exact big-integer sequences: Bell numbers, Stirling numbers, binomials.
+"""Exact big-integer sequences: Bell numbers and Stirling numbers.
 
 Everything here is exact. Python ints carry the arbitrary-precision
 integer arithmetic and ``fractions.Fraction`` is used for rationals
@@ -7,7 +7,6 @@ throughout the package.
 
 from __future__ import annotations
 
-import math
 import threading
 from itertools import accumulate
 
@@ -55,13 +54,6 @@ def bell(n: int) -> int:
     return _BELL[n]
 
 
-def binomial(n: int, k: int) -> int:
-    """C(n, k); zero when k > n or either argument is negative."""
-    if k < 0 or n < 0 or k > n:
-        return 0
-    return math.comb(n, k)
-
-
 def stirling2(n: int, k: int) -> int:
     """Stirling number of the second kind S(n, k)."""
     if n < 0 or k < 0:
@@ -83,6 +75,8 @@ def bell_mod_table(nmax: int, m: int) -> list[int]:
     entries stay below about m * 2^100 * nmax, and most rows cost one
     C-level ``accumulate`` and no division.
     """
+    if nmax < 0:
+        raise ValueError("nmax must be nonnegative")
     if m < 2:
         raise ValueError("modulus must be at least 2")
     bound = m << 100

@@ -119,6 +119,8 @@ def iter_rgs(n: int) -> Iterator[tuple]:
     as a tuple once and then joined to every value the last position can
     take, from 1-tuples made up front.
     """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     if n < 2:
         yield (0,) * n
         return
@@ -155,20 +157,22 @@ def brute_distribution(n: int, target: str) -> dict:
     """{value: count} of the dimension ("dim") or 2-crossing ("int") exponent
     over every partition of [n], by one depth-first walk over the elements.
 
-    The walk keeps each block's least and latest element.  Element x joining
+    The walk keeps each block's latest element, lasts[b].  Element x joining
     the block whose latest element is l adds the arc (l, x): ``dim`` gains
     x - l - 1, and ``int`` gains the earlier arcs (e, f) with e < l < f, one
-    per other block b with firsts[b] < l < lasts[b].  Opening a block adds 0.
+    per other block b whose span, from its least element to lasts[b],
+    strictly contains l.  Opening a block adds 0.
 
     For ``int`` the walk keeps cover[b], the number of blocks whose span
-    (firsts, lasts) strictly contains lasts[b], so joining block c adds
-    cover[c].  The join moves lasts[c] from l to x, the largest element so
-    far: no span contains x, so cover[c] becomes 0, and the span of c now
-    also contains every lasts[b] between l and x, that is every lasts[b] > l
-    (all of them exceed firsts[c] <= l); no other span changes.  Undoing the
-    join restores cover[c] and lasts[c] = l, after which the same test
-    lasts[b] > l finds the blocks it bumped.  The stack is four arrays
-    indexed by element, so any n runs without recursion.
+    strictly contains lasts[b], so joining block c adds cover[c].  The join
+    moves lasts[c] from l to x, the largest element so far: no span contains
+    x, so cover[c] becomes 0, and the span of c now also contains every
+    lasts[b] between l and x, that is every lasts[b] > l (all of them exceed
+    the least element of c, which is at most l); no other span changes.
+    Undoing the join restores cover[c] and lasts[c] = l, after which the same
+    test lasts[b] > l finds the blocks it bumped.  The stack is four arrays
+    indexed by element, so any n runs without recursion; saved[x] = 0 marks
+    an x that opened its block, as every latest element is at least 1.
 
     The walk places elements 2..n-2 only.  At each such node of weight w the
     nb^2 + 2nb + 2 ways to place n - 1 and n are counted at once, as the
@@ -199,7 +203,7 @@ def brute_distribution(n: int, target: str) -> dict:
     S = n * n.bit_length()
     m = n - 1  # the walk stops when m is the next element to place
     packed = 0
-    firsts, lasts, cover = [1], [1], [0]
+    lasts, cover = [1], [0]
     # per element x < m: the block it joined, that block's latest element
     # and its cover before x, and the weight of elements 1..x
     choice, saved, saved_cover, weight = [0] * n, [0] * n, [0] * n, [0] * n
@@ -221,7 +225,7 @@ def brute_distribution(n: int, target: str) -> dict:
                 saved[x] = l
                 lasts[c] = x
             else:
-                firsts.append(x)
+                saved[x] = 0
                 lasts.append(x)
                 cover.append(0)
             choice[x], weight[x] = c, w
@@ -242,8 +246,7 @@ def brute_distribution(n: int, target: str) -> dict:
         # x has no choice left: undo the choice of x - 1 and try its next block
         x -= 1
         c = choice[x]
-        if firsts[c] == x:
-            firsts.pop()
+        if not saved[x]:
             lasts.pop()
             cover.pop()
         else:

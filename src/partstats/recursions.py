@@ -77,6 +77,8 @@ def _layers(target: str, n: int, table: bool, kmax: int = 0, slot: int = 0):
     is the power sums M_0..M_kmax of its weights.  Unless ``table``, rows
     that cannot close their blocks by layer n are dropped.
     """
+    if n < 0 or kmax < 0:
+        raise ValueError("n and kmax must be nonnegative")
     d, step = _STEPS[target]
     # per row a: the polynomials of the moves from rows a-1, a and a+1.  A
     # generator: int's hold about a terms, so each is freed once it is used

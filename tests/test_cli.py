@@ -249,6 +249,26 @@ def test_asym_subcommand(capsys):
     assert float(row["mean"][3]) < 0.5
 
 
+_ASYM_300_BELL = (
+    "log_bell_T0,1045.33215555,1045.33214839,7.159e-06\n"
+    "log_bell_T1,1045.33215555,1045.33215923,3.686e-06\n"
+    "log_bell_T2,1045.33215555,1045.33215554,1.216e-08\n"
+)
+
+
+@pytest.mark.parametrize("target,mean", [
+    ("dim", "mean,11466.257047,11208.6213844,2.247e-02\n"),
+    ("int", "mean,4652.51755673,4363.45899313,6.213e-02\n"),
+])
+def test_asym_output_is_fixed(capsys, target, mean):
+    assert invoke(capsys, "asym", "--target", target, "--n", "300") == (
+        0,
+        "quantity,exact,asymptotic,rel_error\n"
+        "alpha,4.25825160911,4.25825160911,0\n" + mean + _ASYM_300_BELL,
+        "",
+    )
+
+
 @pytest.mark.parametrize("target,n", [("dim", 2), ("int", 2), ("int", 3)])
 def test_asym_where_the_exact_mean_is_zero(capsys, target, n):
     code, out, err = invoke(capsys, "asym", "--target", target, "--n", str(n))
@@ -431,10 +451,15 @@ def test_deterministic_output(capsys):
         ["dist", "dim", "--n", "1" + "0" * 400, "--brute", "--force"],
         ["moments", "int", "--n", "1" + "0" * 400, "--k", "1", "--force"],
         ["bell", "--max", "1" + "0" * 400, "--force"],
+        # each fit mode refuses the other mode's options
+        ["fit", "--pattern", "PATTERN", "--k", "5"],
+        ["fit", "--target", "dim", "--k", "1", "--profile-degree", "9", "--profile-k", "4"],
     ],
 )
-def test_user_errors_exit_one(argv, capsys):
-    code, _, err = invoke(capsys, *argv)
+def test_user_errors_exit_one(argv, tmp_path, capsys):
+    path = tmp_path / "singletons.json"  # a valid pattern: only the argv is wrong
+    path.write_text(json.dumps({"length": 1, "blocks": [[1]], "q": "1"}))
+    code, _, err = invoke(capsys, *(str(path) if a == "PATTERN" else a for a in argv))
     assert code == 1
     assert err.strip().startswith("error:")
     assert len(err.strip().splitlines()) == 1

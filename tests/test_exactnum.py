@@ -5,7 +5,7 @@ import threading
 import pytest
 from hypothesis import given, strategies as st
 
-from partstats.exactnum import bell, bell_mod, bell_mod_table, binomial, stirling2
+from partstats.exactnum import bell, bell_mod, bell_mod_table, stirling2
 
 BELL_SMALL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975]
 
@@ -17,7 +17,7 @@ def test_bell_small_values():
 
 def test_bell_binomial_recurrence():
     for n in range(1, 40):
-        assert bell(n + 1) == sum(binomial(n, k) * bell(k) for k in range(n + 1))
+        assert bell(n + 1) == sum(math.comb(n, k) * bell(k) for k in range(n + 1))
 
 
 def test_stirling_rows():
@@ -28,13 +28,6 @@ def test_stirling_rows():
 @given(st.integers(min_value=0, max_value=30))
 def test_stirling_row_sums_to_bell(n):
     assert sum(stirling2(n, k) for k in range(n + 1)) == bell(n)
-
-
-def test_binomial_matches_math_comb():
-    for n in range(12):
-        for k in range(-2, n + 3):
-            expected = math.comb(n, k) if 0 <= k <= n else 0
-            assert binomial(n, k) == expected
 
 
 def test_stirling_recurrence():

@@ -1,10 +1,11 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from partstats.exactnum import bell, binomial, stirling2
+from partstats.exactnum import bell, stirling2
 from partstats.partitions import enumerate_partitions, parse_partition
 from partstats.statistics import (
     Pattern,
@@ -87,7 +88,7 @@ def test_aggregate_blocks_choose_two():
     # pairs of blocks: sum of C(l, 2)
     for n in range(8):
         expected = sum(
-            binomial(lam.block_count, 2) for lam in enumerate_partitions(n)
+            math.comb(lam.block_count, 2) for lam in enumerate_partitions(n)
         )
         assert aggregate(builtin("blocks_choose", k=2), n) == expected
 
