@@ -286,6 +286,13 @@ class MarkedSetPartition:
     def open_count(self) -> int:
         return sum(1 for f in self.open_flags if f)
 
+    def arcs(self) -> list:
+        """The base arcs, plus an arc (max, n + 1) from each open block's maximum."""
+        lam = self.base
+        maxima = {c: x for x, c in enumerate(lam.rgs, 1)}
+        return lam.arcs() + [(maxima[c], lam.n + 1)
+                             for c, is_open in enumerate(self.open_flags) if is_open]
+
 
 def marked_enumerate(n: int) -> Iterator[MarkedSetPartition]:
     """All (partition, marking) pairs; 2^blocks markings per partition."""
@@ -304,26 +311,26 @@ def parse_partition(text: str) -> SetPartition:
     text has a comma or more than nine digits; then every block is a comma
     list.  ``str(SetPartition)`` writes commas for n > 9, where a partition
     into singletons has none but more than nine digits, and one block has
-    no ``|``.
+    no ``|``.  Every number is ASCII digits with no sign, underscore or
+    leading zero (``0`` itself is a number); anything else raises
+    ``PartitionError``.
     """
     text = text.strip()
     if text == "":
         return SetPartition(())
-    if "|" not in text:
-        parts = [p.strip() for p in text.split(",")]
-        if parts[0].startswith("0"):  # an RGS starts with 0; no block holds 0
-            try:
-                return SetPartition(tuple(int(p) for p in parts))
-            except PartitionError:
-                raise
-            except ValueError:
-                raise PartitionError("bad RGS text: %r" % text)
+    if "|" not in text and text.startswith("0"):  # an RGS starts with 0; no block holds 0
+        return SetPartition(tuple(map(_number, text.split(","))))
     numbers = "," in text or sum(c.isdecimal() for c in text) > 9
-    blocks = []
-    for chunk in text.split("|"):
-        chunk = chunk.strip()
-        try:
-            blocks.append([int(p) for p in (chunk.split(",") if numbers else chunk)])
-        except ValueError:
-            raise PartitionError("bad block text: %r" % chunk)
-    return from_blocks(blocks)
+    return from_blocks(map(_number, chunk.split(",") if numbers else chunk.strip())
+                       for chunk in text.split("|"))
+
+
+def _number(text: str) -> int:
+    """``text``, less surrounding whitespace, as a number by the rule in ``parse_partition``."""
+    digits = text.strip()
+    try:
+        if digits.isascii() and digits.isdigit() and (digits == "0" or digits[0] != "0"):
+            return int(digits)
+    except ValueError:  # more digits than CPython converts to an int
+        pass
+    raise PartitionError("bad number: %r" % text)

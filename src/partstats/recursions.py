@@ -12,6 +12,7 @@ from collections import Counter, deque
 from math import comb
 from operator import mul
 
+from .exactnum import bell
 from .partitions import MarkedSetPartition, crossing_count
 
 
@@ -20,37 +21,21 @@ from .partitions import MarkedSetPartition, crossing_count
 # ---------------------------------------------------------------------------
 
 def marked_dimension(mu: MarkedSetPartition) -> int:
-    """Closed-block maxima minus all minima, plus blocks, plus n*(open-1).
+    """The sum of f - e - 1 over the arcs (e, f) of ``mu``, open ones included.
 
-    Equals the dimension exponent of the underlying partition when no
-    block is open.
+    With no open block this is the dimension exponent of the partition.
     """
-    blocks = mu.base.blocks()
-    total = 0
-    for b, is_open in zip(blocks, mu.open_flags):
-        if not is_open:
-            total += b[-1]
-        total -= b[0]
-    return total + len(blocks) + mu.base.n * (mu.open_count - 1)
+    return sum(f - e - 1 for e, f in mu.arcs())
 
 
 def marked_intertwining(mu: MarkedSetPartition) -> int:
-    """Interlaced arc pairs, plus pending crossings against open blocks.
+    """The crossing pairs among the arcs of ``mu``, open ones included.
 
-    A pending crossing is an (arc (e, f), open block) pair whose block
-    maximum lies strictly inside the arc: whatever element later joins
-    that still-open block must land beyond f and complete a crossing.
-    With no open blocks this is exactly the number of 2-crossings.
+    An open block's arc (max, n + 1) is crossed by every arc (e, f) with
+    e < max < f: whatever element later joins that block lands beyond f.
+    With no open block this is the number of 2-crossings.
     """
-    lam = mu.base
-    arcs = lam.arcs()
-    total = crossing_count(arcs)
-    blocks = lam.blocks()
-    for b, is_open in zip(blocks, mu.open_flags):
-        if is_open:
-            last = b[-1]
-            total += sum(1 for e, f in arcs if e < last < f)
-    return total
+    return crossing_count(mu.arcs())
 
 
 # ---------------------------------------------------------------------------
@@ -61,8 +46,8 @@ def marked_intertwining(mu: MarkedSetPartition) -> int:
 # {shift: count} of a new element meeting a open blocks.  P0: it opens a
 # block (A: a -> a+1) or is a closed singleton (a -> a).  P1: it extends an
 # open block, which stays open (a -> a) or closes (a -> a-1).  Packed rows
-# multiply by the few terms of d * P and divide their sum by d: for int,
-# (x - 1)(1 + x + ... + x^(a-1)) = x^a - 1.
+# multiply by the few terms of d * P and divide their sum by d unless d = 1:
+# for int, (x - 1)(1 + x + ... + x^(a-1)) = x^a - 1.
 _STEPS = {
     "dim": ({0: 1}, lambda a: ({a: 1}, {a - 1: a} if a else {})),
     "int": ({0: -1, 1: 1}, lambda a: ({0: 1}, dict.fromkeys(range(a), 1))),
@@ -91,7 +76,8 @@ def _layers(target: str, n: int, table: bool, kmax: int = 0, slot: int = 0):
         zero, rows = 0, [1]
 
         def combine(a, *v):
-            return sum(v[j] * c << s for j, c, s in terms[a]) // den
+            row = sum(v[j] * c << s for j, c, s in terms[a])
+            return row // den if den > 1 else row
     else:
         # M_j(row * P) = sum_i C(j, i) M_i(row) N_{j-i}(P), N_t the power sums of P
         ks = range(kmax + 1)
@@ -124,8 +110,9 @@ def _times(p: dict, q: dict) -> Counter:
 def _cells(target: str, n: int, table: bool) -> dict:
     """{(A, B): count} of layer n."""
     # every packed coefficient is at most the count of all marked partitions
-    # of [n]; deque(..., 1) keeps only the last layer
-    total = sum(r[0] for r in deque(_layers(target, n, True), 1).pop())
+    # of [n], T_n(2) = sum_j C(n, j) B_j B_(n-j) (Touchard polynomials are of
+    # binomial type); deque(..., 1) keeps only the last layer
+    total = sum(comb(n, j) * bell(j) * bell(n - j) for j in range(n + 1))
     size = (total.bit_length() + 7) // 8
     cells = {}
     for a, row in enumerate(deque(_layers(target, n, table, slot=8 * size), 1).pop()):

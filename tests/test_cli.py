@@ -454,6 +454,8 @@ def test_deterministic_output(capsys):
         # each fit mode refuses the other mode's options
         ["fit", "--pattern", "PATTERN", "--k", "5"],
         ["fit", "--target", "dim", "--k", "1", "--profile-degree", "9", "--profile-k", "4"],
+        # a number with a leading zero
+        ["eval", "--pattern", "PATTERN", "--partition", "000"],
     ],
 )
 def test_user_errors_exit_one(argv, tmp_path, capsys):

@@ -74,7 +74,9 @@ def test_parse_partition_formats_agree():
 
 
 def test_parse_partition_rejects_garbage():
-    for bad in ["13|13", "1|3", "0,2", "1x3", "|", "2|1,1", "1,a|2", "1,|2", "1\u00b2|3"]:
+    for bad in ["13|13", "1|3", "0,2", "1x3", "|", "2|1,1", "1,a|2", "1,|2", "1\u00b2|3",
+                # a number is ASCII digits with no sign, underscore or leading zero
+                "000", "00", "0,+1", "0,0_0", "1,+2|3", "\uff112|3", "0," + "1" * 5000]:
         with pytest.raises(PartitionError):
             parse_partition(bad)
 

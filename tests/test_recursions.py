@@ -1,3 +1,6 @@
+from math import comb
+
+from partstats import recursions
 from partstats.exactnum import bell
 from partstats.partitions import enumerate_partitions, marked_enumerate
 from partstats.recursions import (
@@ -131,3 +134,26 @@ def test_moments_agree_with_distributions():
             dist = distribution(n)
             assert moments(4, n) == [sum(c * b ** k for b, c in dist.items()) for k in range(5)]
             assert moments(0, n) == [bell(n)]
+
+
+def test_table_totals_are_marked_partition_counts():
+    # the packed slot is sized from this count, which bounds every cell
+    for n in range(31):
+        total = sum(comb(n, j) * bell(j) * bell(n - j) for j in range(n + 1))
+        assert sum(dim_table(n).values()) == total
+        assert sum(int_table(n).values()) == total
+
+
+def test_each_front_end_runs_the_engine_once(monkeypatch):
+    calls = []
+    layers = recursions._layers
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return layers(*args, **kwargs)
+
+    monkeypatch.setattr(recursions, "_layers", spy)
+    for run in (lambda: dim_distribution(12), lambda: int_table(9), lambda: int_moments(3, 9)):
+        calls.clear()
+        run()
+        assert len(calls) == 1
