@@ -160,7 +160,10 @@ def _cmd_dist(args) -> None:
         raise CliError("--n must be nonnegative")
     if args.brute:
         _guard_n(args.n, args.force)
-        hist = brute_distribution(args.n, args.target)
+        try:
+            hist = brute_distribution(args.n, args.target)
+        except ValueError as e:  # a forced n past the recursion limit
+            raise CliError(str(e))
     else:
         _guard_n(args.n, args.force, DP_GUARD, "DP guard", "; " + DP_COST)
         hist = getattr(recursions, args.target + "_distribution")(args.n)

@@ -1,4 +1,4 @@
-"""Exact big-integer sequences: Bell numbers and Stirling numbers.
+"""Exact big integers: Bell and Stirling numbers, and packed histograms.
 
 Everything here is exact. Python ints carry the arbitrary-precision
 integer arithmetic and ``fractions.Fraction`` is used for rationals
@@ -64,6 +64,13 @@ def stirling2(n: int, k: int) -> int:
     for m in range(1, n + 1):
         row = [0] + [j * row[j] + row[j - 1] for j in range(1, m)] + [1]
     return row[k]
+
+
+def unpack(packed: int, size: int) -> dict:
+    """{i: count} of the nonzero slots of ``packed``, ``size`` bytes each, lowest first."""
+    raw = packed.to_bytes((packed.bit_length() + 7) // 8, "little")
+    counts = (int.from_bytes(raw[i:i + size], "little") for i in range(0, len(raw), size))
+    return {i: c for i, c in enumerate(counts) if c}
 
 
 def bell_mod_table(nmax: int, m: int) -> list[int]:

@@ -8,8 +8,11 @@ external API; the RGS itself is stored 0-indexed by position.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
+
+from .exactnum import unpack
 
 
 class PartitionError(ValueError):
@@ -170,9 +173,7 @@ def brute_distribution(n: int, target: str) -> dict:
     lasts[b] between l and x, that is every lasts[b] > l (all of them exceed
     the least element of c, which is at most l); no other span changes.
     Undoing the join restores cover[c] and lasts[c] = l, after which the same
-    test lasts[b] > l finds the blocks it bumped.  The stack is four arrays
-    indexed by element, so any n runs without recursion; saved[x] = 0 marks
-    an x that opened its block, as every latest element is at least 1.
+    test lasts[b] > l finds the blocks it bumped.
 
     The walk places elements 2..n-2 only.  At each such node of weight w the
     nb^2 + 2nb + 2 ways to place n - 1 and n are counted at once, as the
@@ -188,10 +189,13 @@ def brute_distribution(n: int, target: str) -> dict:
       n - 1 joining b adds k_b - 1, n joining b adds k_b, and n joining the
       block of n - 1 adds 0.
 
-    The histogram is one integer with a slot of S bits per value, so adding
-    a node is a shift and an add.  Every count is at most B_n <= n^n, which
-    is below 2^S for S = n * n.bit_length(); S comes from that bound and not
-    from B_n, so a large forced n starts walking at once.
+    The histogram is one integer with a slot of ``size`` bytes per value, as
+    ``exactnum.unpack`` reads it, so adding a node is a shift and an add.
+    Every count is at most B_n <= n^n < 2^(8 size) for size = ceil(n *
+    n.bit_length() / 8), a bound that, unlike B_n, costs no time at large n.
+
+    The walk recurses n - 2 calls deep; past the interpreter's recursion
+    limit it raises ``ValueError`` on the first descent.
     """
     if target not in ("dim", "int"):
         raise ValueError("target must be 'dim' or 'int', got %r" % (target,))
@@ -200,37 +204,15 @@ def brute_distribution(n: int, target: str) -> dict:
     if n < 3:
         return {0: max(n, 1)}  # B_0 = B_1 = 1 and B_2 = 2, all of weight 0
     crossings = target == "int"
-    S = n * n.bit_length()
+    size = (n * n.bit_length() + 7) // 8
+    S = 8 * size
     m = n - 1  # the walk stops when m is the next element to place
-    packed = 0
     lasts, cover = [1], [0]
-    # per element x < m: the block it joined, that block's latest element
-    # and its cover before x, and the weight of elements 1..x
-    choice, saved, saved_cover, weight = [0] * n, [0] * n, [0] * n, [0] * n
-    x, c = 2, 0  # element x tries block c next; c == len(lasts) opens a block
-    while x > 1:
-        nb = len(lasts)
-        w = weight[x - 1]
-        if x < m and c <= nb:
-            if c < nb:
-                l = lasts[c]
-                if crossings:
-                    w += cover[c]
-                    saved_cover[x], cover[c] = cover[c], 0
-                    for b in range(nb):
-                        if lasts[b] > l:
-                            cover[b] += 1
-                else:
-                    w += x - l - 1
-                saved[x] = l
-                lasts[c] = x
-            else:
-                saved[x] = 0
-                lasts.append(x)
-                cover.append(0)
-            choice[x], weight[x] = c, w
-            x, c = x + 1, 0
-            continue
+    packed = 0
+
+    def walk(x: int, w: int) -> None:
+        """Count every way to place x..n after elements 1..x-1 of weight w."""
+        nonlocal packed
         if x == m:
             # e1 and p2 = sum of q^(2 k_b), packed; e2 = (e1^2 - p2) / 2
             e1 = p2 = 0
@@ -243,29 +225,36 @@ def brute_distribution(n: int, target: str) -> dict:
             else:
                 # e1 + e2 has no constant term, so q^-1 is an exact shift
                 packed += (2 + e1 + ((2 * e1 + e1 * e1 - p2) >> S)) << w * S
-        # x has no choice left: undo the choice of x - 1 and try its next block
-        x -= 1
-        c = choice[x]
-        if not saved[x]:
-            lasts.pop()
-            cover.pop()
-        else:
-            l = lasts[c] = saved[x]
+            return
+        nb = len(lasts)
+        for c in range(nb):
+            l = lasts[c]
+            k = cover[c] if crossings else x - l - 1  # the weight the join adds
             if crossings:
-                cover[c] = saved_cover[x]
-                for b in range(len(lasts)):
+                cover[c] = 0
+                for b in range(nb):
+                    if lasts[b] > l:
+                        cover[b] += 1
+            lasts[c] = x
+            walk(x + 1, w + k)
+            lasts[c] = l
+            if crossings:
+                cover[c] = k
+                for b in range(nb):
                     if lasts[b] > l:
                         cover[b] -= 1
-        c += 1
-    hist = {}
-    mask = (1 << S) - 1
-    value = 0
-    while packed:
-        if packed & mask:
-            hist[value] = packed & mask
-        packed >>= S
-        value += 1
-    return hist
+        lasts.append(x)
+        cover.append(0)
+        walk(x + 1, w)
+        lasts.pop()
+        cover.pop()
+
+    try:
+        walk(2, 0)
+    except RecursionError:
+        raise ValueError("n=%d needs a walk %d calls deep, which reaches the interpreter's "
+                         "recursion limit (%d)" % (n, n - 2, sys.getrecursionlimit())) from None
+    return unpack(packed, size)
 
 
 @dataclass(frozen=True)
@@ -311,7 +300,9 @@ def parse_partition(text: str) -> SetPartition:
     text has a comma or more than nine digits; then every block is a comma
     list.  ``str(SetPartition)`` writes commas for n > 9, where a partition
     into singletons has none but more than nine digits, and one block has
-    no ``|``.  Every number is ASCII digits with no sign, underscore or
+    no ``|``.  Whitespace between numbers is ignored in both notations, so
+    ``1 3|2`` and ``1, 3|2`` both read as ``13|2``; a comma list still needs
+    its commas.  Every number is ASCII digits with no sign, underscore or
     leading zero (``0`` itself is a number); anything else raises
     ``PartitionError``.
     """
@@ -321,7 +312,7 @@ def parse_partition(text: str) -> SetPartition:
     if "|" not in text and text.startswith("0"):  # an RGS starts with 0; no block holds 0
         return SetPartition(tuple(map(_number, text.split(","))))
     numbers = "," in text or sum(c.isdecimal() for c in text) > 9
-    return from_blocks(map(_number, chunk.split(",") if numbers else chunk.strip())
+    return from_blocks(map(_number, chunk.split(",") if numbers else "".join(chunk.split()))
                        for chunk in text.split("|"))
 
 

@@ -12,7 +12,7 @@ from collections import Counter, deque
 from math import comb
 from operator import mul
 
-from .exactnum import bell
+from .exactnum import bell, unpack
 from .partitions import MarkedSetPartition, crossing_count
 
 
@@ -114,12 +114,8 @@ def _cells(target: str, n: int, table: bool) -> dict:
     # binomial type); deque(..., 1) keeps only the last layer
     total = sum(comb(n, j) * bell(j) * bell(n - j) for j in range(n + 1))
     size = (total.bit_length() + 7) // 8
-    cells = {}
-    for a, row in enumerate(deque(_layers(target, n, table, slot=8 * size), 1).pop()):
-        raw = row.to_bytes((row.bit_length() + 7) // 8, "little")
-        counts = (int.from_bytes(raw[i:i + size], "little") for i in range(0, len(raw), size))
-        cells.update(((a, b), c) for b, c in enumerate(counts) if c)
-    return cells
+    rows = deque(_layers(target, n, table, slot=8 * size), 1).pop()
+    return {(a, b): c for a, row in enumerate(rows) for b, c in unpack(row, size).items()}
 
 
 # ---------------------------------------------------------------------------

@@ -648,7 +648,8 @@ def _nat_param(params: dict, key: str, minimum: int = 0) -> int:
 # pattern DSL
 # ---------------------------------------------------------------------------
 
-_TOKEN = re.compile(r"\s*(\d+|y\d+|m|\(|\)|\+|\-|\*|\^|/)")
+# [0-9]: numbers are ASCII digits (\d takes any Unicode digit; re.ASCII would narrow \s too)
+_TOKEN = re.compile(r"\s*([0-9]+|y[0-9]+|m|\(|\)|\+|\-|\*|\^|/)")
 
 # Largest total degree (in y_1..y_k and m) a DSL weight may reach; checked
 # before each product or power, so no expression runs unbounded.

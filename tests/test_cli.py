@@ -58,6 +58,13 @@ def test_brute_guard_and_force(capsys):
         code, out, err = invoke(capsys, "dist", "dim", "--n", n, "--brute")
         assert time.perf_counter() - start < 1.0
         assert code == 1 and out == "" and "partitions); pass --force" in err
+    # forced, a walk too deep for the interpreter is a user error found at once
+    for target in ("dim", "int"):
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, "dist", target, "--n", "3000", "--brute", "--force")
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and out == "" and len(err.strip().splitlines()) == 1
+        assert err.startswith("error:") and "recursion limit (" in err
 
 
 def test_dp_guard_and_force(capsys, monkeypatch):

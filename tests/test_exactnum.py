@@ -3,9 +3,9 @@ import sys
 import threading
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from partstats.exactnum import bell, bell_mod, bell_mod_table, stirling2
+from partstats.exactnum import bell, bell_mod, bell_mod_table, stirling2, unpack
 
 BELL_SMALL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975]
 
@@ -58,6 +58,14 @@ def test_bell_mod_table_matches_exact(m):
 @given(st.integers(min_value=0, max_value=400), st.integers(min_value=2, max_value=2**200))
 def test_bell_mod_table_any_modulus(n, m):
     assert bell_mod_table(n, m) == [bell(i) % m for i in range(n + 1)]
+
+
+@given(st.lists(st.integers(min_value=0, max_value=2**40 - 1), max_size=20),
+       st.integers(min_value=5, max_value=9))
+@example([2**40 - 1, 0, 1, 0], 5)  # a full slot, a zero slot and a trailing zero slot
+def test_unpack_reads_every_slot(counts, size):
+    packed = sum(c << 8 * size * i for i, c in enumerate(counts))
+    assert unpack(packed, size) == {i: c for i, c in enumerate(counts) if c}
 
 
 def test_bell_negative_rejected():

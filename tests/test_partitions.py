@@ -71,6 +71,8 @@ def test_parse_partition_formats_agree():
     b = parse_partition("1,3,5,6|2,7|4")
     c = parse_partition("0,1,0,2,0,0,1")
     assert a == b == c
+    # whitespace between numbers is ignored in both notations
+    assert parse_partition("1 3|2") == parse_partition("1, 3|2") == parse_partition("13|2")
 
 
 def test_parse_partition_rejects_garbage():
@@ -158,13 +160,16 @@ def test_brute_distribution_matches_arcs_and_the_evaluator():
         lams = list(enumerate_partitions(n))
         assert brute_distribution(n, "int") == Counter(crossing_count(lam.arcs()) for lam in lams)
         assert brute_distribution(n, "dim") == Counter(int(d.evaluate(lam)) for lam in lams)
-    for n, target in ((3, "nest"), (-1, "dim")):
+    # the walk is n - 2 calls deep: past the interpreter's recursion limit
+    # it refuses on the first descent instead of running for B_n partitions
+    for n, target in ((3, "nest"), (-1, "dim"), (3000, "dim"), (3000, "int")):
         with pytest.raises(ValueError):
             brute_distribution(n, target)
 
 
 def test_brute_distribution_matches_the_transfer_dp():
-    # the DPs share no code with the walk or its count of the last two elements
+    # the DPs share no counting code with the walk or its count of the last
+    # two elements; both only decode their packed histograms the same way
     for n in (10, 11):
         assert brute_distribution(n, "int") == int_distribution(n)
         assert brute_distribution(n, "dim") == dim_distribution(n)

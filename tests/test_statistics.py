@@ -252,6 +252,9 @@ def test_dsl_rejects_bad_documents():
         {"length": 2, "blocks": [[1, 2]], "arcs": [[2, 1]]},
         {"length": 1, "blocks": [[1]], "q": "y2"},
         {"length": 1, "blocks": [[1]], "q": "1 +"},
+        # numbers are ASCII digits, not any Unicode decimal digit
+        {"length": 1, "blocks": [[1]], "q": "y\u0661"},
+        {"length": 1, "blocks": [[1]], "q": "\u0662"},
     ]:
         with pytest.raises(StatisticError):
             parse_pattern(json.dumps(doc))
