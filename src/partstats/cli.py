@@ -45,6 +45,11 @@ ASYM_COST = "n=3000 took 5.2 s, n=4000 12 s, n=4500 19 s"
 # the entries the triangle adds; measured at the bound on CPython 3.11.7, 2 vCPU
 BELL_MOD_GUARD = 2 * 10**8
 BELL_MOD_COST = "N=14000 M=10^6+3 took 4.6-6.6 s, N=3000 M=2^1329-1 1.1 s"
+# bound on statistics.evaluate_cost for `eval`; measured at the bound on
+# CPython 3.11.7, 2 vCPU
+EVAL_GUARD = 3 * 10**7
+EVAL_COST = ("at the bound 4 singleton positions (n=165) took 2.9 s, 5 (n=82) 3.9 s, "
+             "4 with 3 y-monomial groups (n=122) 5.7 s")
 
 
 class CliError(Exception):
@@ -185,6 +190,8 @@ def _cmd_eval(args) -> None:
         lam = parse_partition(args.partition)
     except PartitionError as e:
         raise CliError("invalid partition: %s" % e)
+    _guard_cost(statistics.evaluate_cost(f, lam.n), args.force, EVAL_GUARD,
+                "eval cost guard", EVAL_COST)
     _write(args, "%s\n" % f.evaluate(lam))
 
 
@@ -306,6 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("eval", help="evaluate a pattern statistic on one partition")
     sp.add_argument("--pattern", required=True)
     sp.add_argument("--partition", required=True)
+    sp.add_argument("--force", action="store_true")
     sp.set_defaults(func=_cmd_eval)
 
     sp = sub.add_parser("aggregate", help="sum a pattern statistic over all of Pi(n)")

@@ -39,6 +39,34 @@ class BellTable:
                 self._row = row = list(accumulate(prev, initial=prev[-1]))
                 self._values.append(row[-1])
 
+    def mod_table(self, nmax: int, m: int) -> list[int]:
+        """B_0..B_nmax reduced mod m.  Never grows the table; reuses the B_n it holds.
+
+        Up to the table's frontier k each value is B_n % m.  Past it the
+        triangle goes on mod m from row k: each row is one prefix sum of
+        the row before, so it is nondecreasing and its last entry bounds
+        the rest.  Reduction mod m is exact whenever it is done, so a row
+        is reduced only once that entry passes m * 2^100: the entries stay
+        below about m * 2^100 * nmax, and most rows cost one C-level
+        ``accumulate`` and no division.
+        """
+        if nmax < 0:
+            raise ValueError("nmax must be nonnegative")
+        if m < 2:
+            raise ValueError("modulus must be at least 2")
+        with self._lock:  # the frontier, its row and B_0..B_k, read together
+            row, held = self._row, self._values[: nmax + 1]
+        values = [b % m for b in held]
+        if len(values) <= nmax:  # row[-1] is B_k, the last value held
+            bound = m << 100
+            row = list(map(m.__rmod__, row))
+            while len(values) <= nmax:
+                row = list(accumulate(row, initial=row[-1]))
+                if row[-1] > bound:
+                    row = list(map(m.__rmod__, row))
+                values.append(row[-1] % m)
+        return values
+
     def __getitem__(self, n: int) -> int:
         if n < 0:
             raise ValueError("Bell numbers are indexed by naturals, got %d" % n)
@@ -74,29 +102,10 @@ def unpack(packed: int, size: int) -> dict:
 
 
 def bell_mod_table(nmax: int, m: int) -> list[int]:
-    """B_0..B_nmax reduced mod m, via the Bell triangle.
-
-    Each row is one prefix sum of the row before, so it is nondecreasing and
-    its last entry bounds the rest.  Reduction mod m is exact whenever it is
-    done, so the row is reduced only once that entry passes m * 2^100: the
-    entries stay below about m * 2^100 * nmax, and most rows cost one
-    C-level ``accumulate`` and no division.
-    """
-    if nmax < 0:
-        raise ValueError("nmax must be nonnegative")
-    if m < 2:
-        raise ValueError("modulus must be at least 2")
-    bound = m << 100
-    values = [1 % m]
-    row = [1]  # the row whose last entry is B_1
-    while len(values) <= nmax:
-        values.append(row[-1] % m)
-        row = list(accumulate(row, initial=row[-1]))
-        if row[-1] > bound:
-            row = list(map(m.__rmod__, row))
-    return values[: nmax + 1]
+    """B_0..B_nmax reduced mod m; see ``BellTable.mod_table``."""
+    return _BELL.mod_table(nmax, m)
 
 
 def bell_mod(n: int, m: int) -> int:
-    """B_n mod m without materializing the full big integer."""
-    return bell_mod_table(n, m)[n]
+    """B_n mod m.  Never grows the exact table; reuses the B_n it holds."""
+    return _BELL.mod_table(n, m)[n]

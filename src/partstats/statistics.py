@@ -489,6 +489,16 @@ def aggregate_cost(f: Statistic, n: int) -> int:
     return n * n * sum((k + 1) * len(groups) for k, _, groups in f._tables if k <= n)
 
 
+def evaluate_cost(f: Statistic, n: int) -> int:
+    """A bound on the work of ``f.evaluate`` on a partition of [n]: the occurrences
+    of each term that fits in [n] times its y-monomial groups.  A position
+    pinned to an earlier one by an arc or a consecutive pair has at most one
+    candidate, so a pattern with k' other positions has at most C(n, k')
+    occurrences."""
+    return sum(comb(n, sum(not (arc or adj) for _, arc, adj, *_ in steps)) * len(groups)
+               for k, steps, groups in f._tables if k <= n)
+
+
 def _transfer_dp(steps: tuple, powers: tuple, nmax: int) -> list:
     """For n = 0..nmax, the sum over the partitions of [n] and their occurrences
     x of ``steps`` of prod x[i]^e over ``powers``, (position, exponent) pairs."""

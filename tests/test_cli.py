@@ -1,7 +1,9 @@
 import contextlib
 import io
 import json
+import math
 import os
+import subprocess
 import sys
 import tempfile
 import time
@@ -9,7 +11,8 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from partstats import asymptotics, cli, recursions, shifted_bell
+import partstats
+from partstats import asymptotics, cli, exactnum, recursions, shifted_bell
 from partstats.cli import run
 from partstats.exactnum import bell
 from partstats.statistics import MAX_PATTERN_LENGTH, MAX_WEIGHT_DEGREE, MAX_WEIGHT_MONOMIALS
@@ -31,6 +34,21 @@ def test_bell_mod_subcommand(capsys):
     code, out, _ = invoke(capsys, "bell", "--max", "12", "--mod", "4")
     values = [int(line.split(",")[1]) for line in out.strip().splitlines()[1:]]
     assert values == [1, 1, 2, 1, 3, 0, 3, 1, 0, 3, 3, 2, 1]
+
+
+def test_bell_mod_same_bytes_cold_and_warm(capsys):
+    # a fresh process rebuilds the triangle mod M from row 1; here the exact
+    # table already holds B_0..B_302 after asym, and the residues are read off it
+    argv = ["bell", "--max", "300", "--mod", "97"]
+    src = os.path.dirname(os.path.dirname(partstats.__file__))
+    cold = subprocess.run([sys.executable, "-m", "partstats.cli"] + argv, capture_output=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert cold.returncode == 0 and cold.stderr == b""
+    assert invoke(capsys, "asym", "--target", "dim", "--n", "300")[0] == 0
+    assert exactnum._BELL.max_index >= 300
+    code, warm, err = invoke(capsys, *argv)
+    assert code == 0 and err == ""
+    assert warm.encode() == cold.stdout
 
 
 def test_dist_exact_and_brute_are_byte_identical(capsys):
@@ -485,6 +503,27 @@ def test_eval_bad_partition(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     code, _, err = invoke(capsys, "eval", "--pattern", str(path), "--partition", "13|13")
     assert code == 1 and err.startswith("error:")
+
+
+def test_eval_cost_guard_and_force(tmp_path, capsys, monkeypatch):
+    # 6 singleton positions on 200 singletons: C(200, 6), about 8.2e10, occurrences
+    path = tmp_path / "six.json"
+    path.write_text(json.dumps({"length": 6, "blocks": [[i] for i in range(1, 7)], "q": "1"}))
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, "eval", "--pattern", str(path), "--partition",
+                            ",".join(map(str, range(200))))
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == ""
+    assert err.startswith("error: estimated cost about 10^10.9 exceeds the eval cost guard (%d;"
+                          % cli.EVAL_GUARD)
+    assert err.endswith("pass --force to override\n")
+    # the benchmark's largest eval jobs, length 4 at n = 30 with up to 3 weight
+    # terms, stay far below the bound
+    assert 100 * 3 * math.comb(30, 4) <= cli.EVAL_GUARD
+    monkeypatch.setattr(cli, "EVAL_GUARD", 10)  # C(8, 6) = 28
+    assert invoke(capsys, "eval", "--pattern", str(path), "--partition", "0,1,2,3,4,5,6,7")[0] == 1
+    assert invoke(capsys, "eval", "--pattern", str(path), "--partition", "0,1,2,3,4,5,6,7",
+                  "--force")[:2] == (0, "28\n")
 
 
 # --- pattern documents: every malformed one exits 1 -----------------------------

@@ -28,6 +28,7 @@ from partstats.statistics import (
     aggregate_cost,
     aggregate_range,
     builtin,
+    evaluate_cost,
     merge_product,
     occurrences,
     pattern_from_dict,
@@ -411,6 +412,28 @@ def test_aggregate_runs_one_dp_per_y_monomial_group():
     for n in (1, 8, 100):
         assert aggregate_cost(f, n) == n * n * 2 * 2
     assert aggregate_range(f, 8) == [enumeration_aggregate(f, n) for n in range(9)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(patterns(max_k=5))
+def test_evaluate_cost_bounds_the_occurrences(p):
+    f = Statistic([(p, WeightPolynomial.constant(p.k, 1))])
+    for n, partitions in PARTITIONS.items():
+        bound = evaluate_cost(f, n)
+        assert all(len(ref_occurrences(p, lam)) <= bound for lam in partitions)
+
+
+def test_evaluate_cost_counts_free_positions():
+    # an arc or a consecutive pair pins a position to the one before it, and
+    # each y-monomial group of the weight counts once per occurrence
+    def cost(n, q="1", **constraints):
+        return evaluate_cost(pattern_from_dict(dict(constraints, length=3, q=q)), n)
+
+    assert cost(10, blocks=[[1], [2], [3]]) == comb(10, 3)
+    assert cost(10, blocks=[[1, 2, 3]], arcs=[[1, 2], [2, 3]]) == 10
+    assert cost(10, blocks=[[1], [2], [3]], consecutive=[[2, 3]]) == comb(10, 2)
+    assert cost(10, blocks=[[1], [2], [3]], q="y1 + y2^2 + 3*m") == 3 * comb(10, 3)
+    assert cost(2, blocks=[[1], [2], [3]]) == 0
 
 
 def test_pattern_length_is_capped_in_make():

@@ -5,7 +5,7 @@ import threading
 import pytest
 from hypothesis import example, given, strategies as st
 
-from partstats.exactnum import bell, bell_mod, bell_mod_table, stirling2, unpack
+from partstats.exactnum import BellTable, bell, bell_mod, bell_mod_table, stirling2, unpack
 
 BELL_SMALL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975]
 
@@ -58,6 +58,52 @@ def test_bell_mod_table_matches_exact(m):
 @given(st.integers(min_value=0, max_value=400), st.integers(min_value=2, max_value=2**200))
 def test_bell_mod_table_any_modulus(n, m):
     assert bell_mod_table(n, m) == [bell(i) % m for i in range(n + 1)]
+
+
+MODULI = [2, 255, 256, 257, 2**61 - 1, 10**30 + 57, 10**400 + 1]
+
+
+# the shared table above is warm, so these start fresh tables at chosen
+# frontiers k: untouched (k = 1), below, at, just above and far above nmax
+@pytest.mark.parametrize("nmax", [0, 1, 2, 40, 150])
+def test_mod_table_resumes_from_any_frontier(nmax):
+    for k in sorted({1, 2, nmax // 2, nmax - 1, nmax, nmax + 1, nmax + 2, 4 * nmax + 60}):
+        for m in MODULI:
+            table = BellTable()
+            table.extend(k)
+            before = table.max_index
+            assert table.mod_table(nmax, m) == [bell(n) % m for n in range(nmax + 1)], (k, m)
+            assert table.max_index == before  # never grows the exact table
+
+
+def test_mod_table_reads_a_consistent_snapshot():
+    # one thread grows a fresh table row by row while another reads residues
+    # past its frontier; each read must see a frontier, its row and B_0..B_k
+    # together.  A version that reduced B_0..B_k before reading the row,
+    # outside the lock, failed this test in each of five runs.
+    nmax, m = 260, 257
+    expected = [bell(n) % m for n in range(nmax + 1)]
+    results = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for trial in range(1, 7):
+            table = BellTable()
+            grower = threading.Thread(target=lambda: [table.extend(n) for n in range(2, nmax - 10)])
+
+            def read():
+                while grower.is_alive() or len(results) < 100 * trial:
+                    results.append(table.mod_table(nmax, m))
+
+            reader = threading.Thread(target=read)
+            grower.start()
+            reader.start()
+            grower.join(timeout=60)
+            reader.join(timeout=60)
+            assert not grower.is_alive() and not reader.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [expected] * len(results)
 
 
 @given(st.lists(st.integers(min_value=0, max_value=2**40 - 1), max_size=20),
