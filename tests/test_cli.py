@@ -239,6 +239,52 @@ def test_aggregate_cost_guard_and_force(tmp_path, capsys, monkeypatch):
     assert code == 0 and err == "" and out.splitlines()[0] == "j=-1: 1*n"
 
 
+_HUGE = "1" + "0" * 400
+_FIT_REFUSAL = "exceeds the fit guard (91; %s); pass --force to override\n" % cli.FIT_COST
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["dist", "dim", "--n", "15", "--brute"], "n=15 exceeds the brute-force guard "
+         "(14; about 10^9.1 partitions); pass --force to override\n"),
+        (["dist", "int", "--n", "100000", "--brute"], "n=100000 exceeds the brute-force guard "
+         "(14; about 10^364471.0 partitions); pass --force to override\n"),
+        (["dist", "dim", "--n", _HUGE, "--brute"], "n=%s exceeds the brute-force guard "
+         "(14; over 10^(10^300) partitions); pass --force to override\n" % _HUGE),
+        (["dist", "int", "--n", "201"], "n=201 exceeds the DP guard "
+         "(200; %s); pass --force to override\n" % cli.DP_COST),
+        (["moments", "dim", "--n", "5", "--k", "100000"], "estimated cost about 10^17.6 exceeds "
+         "the moments cost guard (30000000000; %s); pass --force to override\n" % cli.MOMENTS_COST),
+        (["eval", "--pattern", "SIX", "--partition", ",".join(map(str, range(200)))],
+         "estimated cost about 10^10.9 exceeds the eval cost guard "
+         "(30000000; %s); pass --force to override\n" % cli.EVAL_COST),
+        (["aggregate", "--pattern", "ONE", "--n", "100000"], "estimated cost about 10^10.3 exceeds "
+         "the aggregate cost guard (20000000; %s); pass --force to override\n" % cli.AGGREGATE_COST),
+        (["fit", "--target", "int", "--k", "5"], "unknowns=136 " + _FIT_REFUSAL),
+        (["fit", "--pattern", "ONE", "--profile-degree", "12"], "unknowns=104 " + _FIT_REFUSAL),
+        (["fit", "--pattern", "ONE", "--profile-degree", "9" * 4000],
+         "unknowns=about 10^7999.7 " + _FIT_REFUSAL),
+        (["asym", "--target", "dim", "--n", "4001"], "n=4001 exceeds the asym guard "
+         "(4000; %s); pass --force to override\n" % cli.ASYM_COST),
+        (["bell", "--max", "4001"], "max=4001 exceeds the bell guard "
+         "(4000; %s); pass --force to override\n" % cli.ASYM_COST),
+        (["bell", "--max", _HUGE], "max=%s exceeds the bell guard "
+         "(4000; %s); pass --force to override\n" % (_HUGE, cli.ASYM_COST)),
+        (["bell", "--max", "14200", "--mod", "1000003"], "estimated cost about 10^8.3 exceeds the "
+         "bell --mod cost guard (200000000; %s); pass --force to override\n" % cli.BELL_MOD_COST),
+    ],
+)
+def test_refusal_lines_in_full(argv, expected, tmp_path, capsys):
+    # every guard refuses with one line: its subject, bound and measured cost
+    one = tmp_path / "one.json"
+    one.write_text(json.dumps({"length": 1, "blocks": [[1]], "firsts": [1], "lasts": [1], "q": "1"}))
+    six = tmp_path / "six.json"
+    six.write_text(json.dumps({"length": 6, "blocks": [[i] for i in range(1, 7)], "q": "1"}))
+    files = {"ONE": str(one), "SIX": str(six)}
+    assert invoke(capsys, *(files.get(a, a) for a in argv)) == (1, "", "error: " + expected)
+
+
 def test_fit_target(capsys):
     code, out, _ = invoke(capsys, "fit", "--target", "dim", "--k", "1")
     assert code == 0
