@@ -79,34 +79,32 @@ def _load_statistic(path: str) -> statistics.Statistic:
         raise CliError("invalid pattern: %s" % e)
 
 
-def _guard_n(n: int, force: bool, bound: int = BRUTE_GUARD, what: str = "brute-force guard",
-             cost: str = "", name: str = "n") -> None:
-    if n > bound and not force:
-        if not cost:  # brute force visits all B_n partitions; never compute B_n here
-            try:
-                log10_bell = asymptotics.log_bell_asym(n) / math.log(10)
-                cost = "; about 10^%.1f partitions" % log10_bell
-            except OverflowError:  # ln B_n overflows a float only from n > 10^305 on
-                cost = "; over 10^(10^300) partitions"
+def _guard(value: int, force: bool, bound: int, what: str, measured, name: str = "") -> None:
+    """Refuse ``value`` past ``bound`` unless forced, in one line naming the
+    subject (``name=value``, or with no name the estimated cost), the guard,
+    its bound and ``measured``: the cost seen at the bound, or a function of
+    ``value`` that prices it, called only when refusing."""
+    if value <= bound or force:
+        return
+    if callable(measured):
+        measured = measured(value)
+    if not name:
+        subject = "estimated cost about 10^%.1f" % math.log10(value)
+    else:
         try:
-            shown = "%d" % n
+            subject = "%s=%d" % (name, value)
         except ValueError:  # past CPython's int-to-str digit limit
-            shown = "about 10^%.1f" % math.log10(n)
-        raise CliError("%s=%s exceeds the %s (%d%s); pass --force to override"
-                       % (name, shown, what, bound, cost))
+            subject = "%s=about 10^%.1f" % (name, math.log10(value))
+    raise CliError("%s exceeds the %s (%d; %s); pass --force to override"
+                   % (subject, what, bound, measured))
 
 
-def _guard_cost(cost: int, force: bool, bound: int, what: str, measured: str) -> None:
-    if cost > bound and not force:
-        raise CliError(
-            "estimated cost about 10^%.1f exceeds the %s (%d; %s); pass --force to override"
-            % (math.log10(cost), what, bound, measured)
-        )
-
-
-def _guard_aggregate(f: statistics.Statistic, n: int, force: bool) -> None:
-    _guard_cost(statistics.aggregate_cost(f, n), force, AGGREGATE_GUARD,
-                "aggregate cost guard", AGGREGATE_COST)
+def _brute_force_cost(n: int) -> str:
+    """The brute-force walk visits all B_n partitions; never compute B_n here."""
+    try:
+        return "about 10^%.1f partitions" % (asymptotics.log_bell_asym(n) / math.log(10))
+    except OverflowError:  # ln B_n overflows a float only from n > 10^305 on
+        return "over 10^(10^300) partitions"
 
 
 def _check_sizes(args) -> None:
@@ -151,11 +149,11 @@ def _cmd_bell(args) -> None:
     if args.mod is not None:
         if args.mod < 2:
             raise CliError("--mod must be at least 2")
-        _guard_cost((args.max + 1) ** 2 * (args.mod.bit_length() // 64 + 1), args.force,
-                    BELL_MOD_GUARD, "bell --mod cost guard", BELL_MOD_COST)
+        _guard((args.max + 1) ** 2 * (args.mod.bit_length() // 64 + 1), args.force,
+               BELL_MOD_GUARD, "bell --mod cost guard", BELL_MOD_COST)
         values = bell_mod_table(args.max, args.mod)
     else:
-        _guard_n(args.max, args.force, ASYM_GUARD, "bell guard", "; " + ASYM_COST, "max")
+        _guard(args.max, args.force, ASYM_GUARD, "bell guard", ASYM_COST, "max")
         values = [bell(n) for n in range(args.max + 1)]
     _write(args, _csv("n,bell", enumerate(values)))
 
@@ -164,13 +162,13 @@ def _cmd_dist(args) -> None:
     if args.n < 0:
         raise CliError("--n must be nonnegative")
     if args.brute:
-        _guard_n(args.n, args.force)
+        _guard(args.n, args.force, BRUTE_GUARD, "brute-force guard", _brute_force_cost, "n")
         try:
             hist = brute_distribution(args.n, args.target)
         except ValueError as e:  # a forced n past the recursion limit
             raise CliError(str(e))
     else:
-        _guard_n(args.n, args.force, DP_GUARD, "DP guard", "; " + DP_COST)
+        _guard(args.n, args.force, DP_GUARD, "DP guard", DP_COST, "n")
         hist = getattr(recursions, args.target + "_distribution")(args.n)
     _write(args, _csv("value,count", sorted(hist.items())))
 
@@ -178,8 +176,8 @@ def _cmd_dist(args) -> None:
 def _cmd_moments(args) -> None:
     if args.n < 0 or args.k < 0:
         raise CliError("--n and --k must be nonnegative")
-    _guard_cost(recursions.moments_cost(args.k, args.n), args.force, MOMENTS_GUARD,
-                "moments cost guard", MOMENTS_COST)
+    _guard(recursions.moments_cost(args.k, args.n), args.force, MOMENTS_GUARD,
+           "moments cost guard", MOMENTS_COST)
     values = getattr(recursions, args.target + "_moments")(args.k, args.n)
     _write(args, _csv("k,moment", enumerate(values)))
 
@@ -190,8 +188,7 @@ def _cmd_eval(args) -> None:
         lam = parse_partition(args.partition)
     except PartitionError as e:
         raise CliError("invalid partition: %s" % e)
-    _guard_cost(statistics.evaluate_cost(f, lam.n), args.force, EVAL_GUARD,
-                "eval cost guard", EVAL_COST)
+    _guard(statistics.evaluate_cost(f, lam), args.force, EVAL_GUARD, "eval cost guard", EVAL_COST)
     _write(args, "%s\n" % f.evaluate(lam))
 
 
@@ -199,7 +196,8 @@ def _cmd_aggregate(args) -> None:
     if args.n < 0:
         raise CliError("--n must be nonnegative")
     f = _load_statistic(args.pattern)
-    _guard_aggregate(f, args.n, args.force)
+    _guard(statistics.aggregate_cost(f, args.n), args.force, AGGREGATE_GUARD,
+           "aggregate cost guard", AGGREGATE_COST)
     _write(args, "%s\n" % statistics.aggregate(f, args.n))
 
 
@@ -220,8 +218,8 @@ def _cmd_fit(args) -> None:
         if k < 1:
             raise CliError("--k must be at least 1")
         # asym's k = 1 fit passes no guard
-        _guard_n(shifted_bell.target_unknowns(args.target, k), args.force, FIT_GUARD,
-                 "fit guard", "; " + FIT_COST, "unknowns")
+        _guard(shifted_bell.target_unknowns(args.target, k), args.force, FIT_GUARD,
+               "fit guard", FIT_COST, "unknowns")
         result = _fit_target(args.target, k)
     elif args.pattern:
         if args.k is not None:
@@ -235,10 +233,11 @@ def _cmd_fit(args) -> None:
             unknowns = shifted_bell.generic_unknowns(deg, pk)
         except ValueError as e:
             raise CliError("invalid profile: %s" % e)
-        _guard_n(unknowns, args.force, FIT_GUARD, "fit guard", "; " + FIT_COST, "unknowns")
+        _guard(unknowns, args.force, FIT_GUARD, "fit guard", FIT_COST, "unknowns")
         profile = shifted_bell.profile_generic(deg, pk)
         points = shifted_bell.default_sample_points(profile)
-        _guard_aggregate(f, max(points), args.force)
+        _guard(statistics.aggregate_cost(f, max(points)), args.force, AGGREGATE_GUARD,
+               "aggregate cost guard", AGGREGATE_COST)
         sums = statistics.aggregate_range(f, max(points))
         samples = [(n, sums[n]) for n in points]
         try:
@@ -255,7 +254,7 @@ def _cmd_asym(args) -> None:
     n = args.n
     if n < 2:
         raise CliError("--n must be at least 2")
-    _guard_n(n, args.force, ASYM_GUARD, "asym guard", "; " + ASYM_COST)
+    _guard(n, args.force, ASYM_GUARD, "asym guard", ASYM_COST, "n")
     fitted = _fit_target(args.target, 1)
     exact_mean = Fraction(fitted.evaluate(n), bell(n))
     mean_est = getattr(asymptotics, args.target + "_moment_asym")(n)[0]
@@ -293,33 +292,28 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("bell", help="Bell numbers, optionally reduced mod M")
     sp.add_argument("--max", type=int, required=True)
     sp.add_argument("--mod", type=int, default=None)
-    sp.add_argument("--force", action="store_true")
     sp.set_defaults(func=_cmd_bell)
 
     sp = sub.add_parser("dist", help="exact distribution of dim or int exponent")
     sp.add_argument("target", choices=["dim", "int"])
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--brute", action="store_true", help="oracle path via enumeration")
-    sp.add_argument("--force", action="store_true")
     sp.set_defaults(func=_cmd_dist)
 
     sp = sub.add_parser("moments", help="exact moments via the DP recursions")
     sp.add_argument("target", choices=["dim", "int"])
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--force", action="store_true")
     sp.set_defaults(func=_cmd_moments)
 
     sp = sub.add_parser("eval", help="evaluate a pattern statistic on one partition")
     sp.add_argument("--pattern", required=True)
     sp.add_argument("--partition", required=True)
-    sp.add_argument("--force", action="store_true")
     sp.set_defaults(func=_cmd_eval)
 
     sp = sub.add_parser("aggregate", help="sum a pattern statistic over all of Pi(n)")
     sp.add_argument("--pattern", required=True)
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--force", action="store_true")
     sp.set_defaults(func=_cmd_aggregate)
 
     sp = sub.add_parser("fit", help="fit a shifted Bell polynomial")
@@ -328,16 +322,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--pattern")
     sp.add_argument("--profile-degree", type=int, default=None)
     sp.add_argument("--profile-k", type=int, default=None)
-    sp.add_argument("--force", action="store_true")
     sp.set_defaults(func=_cmd_fit)
 
     sp = sub.add_parser("asym", help="asymptotic vs exact comparison table")
     sp.add_argument("--target", choices=["dim", "int"], required=True)
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--force", action="store_true")
     sp.set_defaults(func=_cmd_asym)
 
     for sp in sub.choices.values():
+        sp.add_argument("--force", action="store_true")
         sp.add_argument("--out")
     return p
 
@@ -351,7 +344,7 @@ def run(argv) -> int:
         _parser = build_parser()
     try:
         args = _parser.parse_args(argv)
-        if getattr(args, "force", False):
+        if args.force:
             _check_sizes(args)
         args.func(args)
         return 0

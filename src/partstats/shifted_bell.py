@@ -53,12 +53,6 @@ class ShiftedBellPolynomial:
                 items.append((int(j), poly))
         return cls(tuple(items))
 
-    def coefficient(self, j: int) -> tuple:
-        for shift, poly in self.coeffs:
-            if shift == j:
-                return poly
-        return ()
-
     def evaluate(self, n: int) -> Fraction:
         total = Fraction(0)
         for j, poly in self.coeffs:

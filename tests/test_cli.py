@@ -572,6 +572,16 @@ def test_eval_cost_guard_and_force(tmp_path, capsys, monkeypatch):
                   "--force")[:2] == (0, "28\n")
 
 
+def test_eval_cost_prices_last_positions_by_blocks(tmp_path, capsys):
+    # 5 singleton positions all in lasts take block maxima: on the 10 blocks
+    # i % 10 of n = 100 at most C(10, 5) occurrences, not C(100, 5)
+    path = tmp_path / "lasts.json"
+    path.write_text(json.dumps({"length": 5, "blocks": [[i] for i in range(1, 6)],
+                                "lasts": [1, 2, 3, 4, 5], "q": "1"}))
+    partition = ",".join(str(i % 10) for i in range(100))
+    assert invoke(capsys, "eval", "--pattern", str(path), "--partition", partition) == (0, "252\n", "")
+
+
 # --- pattern documents: every malformed one exits 1 -----------------------------
 
 def _eval_document(text: str):

@@ -419,21 +419,39 @@ def test_aggregate_runs_one_dp_per_y_monomial_group():
 def test_evaluate_cost_bounds_the_occurrences(p):
     f = Statistic([(p, WeightPolynomial.constant(p.k, 1))])
     for n, partitions in PARTITIONS.items():
-        bound = evaluate_cost(f, n)
-        assert all(len(ref_occurrences(p, lam)) <= bound for lam in partitions)
+        assert all(len(ref_occurrences(p, lam)) <= evaluate_cost(f, lam) for lam in partitions)
 
 
 def test_evaluate_cost_counts_free_positions():
     # an arc or a consecutive pair pins a position to the one before it, and
     # each y-monomial group of the weight counts once per occurrence
     def cost(n, q="1", **constraints):
-        return evaluate_cost(pattern_from_dict(dict(constraints, length=3, q=q)), n)
+        return evaluate_cost(pattern_from_dict(dict(constraints, length=3, q=q)),
+                             SetPartition(range(n)))
 
     assert cost(10, blocks=[[1], [2], [3]]) == comb(10, 3)
     assert cost(10, blocks=[[1, 2, 3]], arcs=[[1, 2], [2, 3]]) == 10
     assert cost(10, blocks=[[1], [2], [3]], consecutive=[[2, 3]]) == comb(10, 2)
     assert cost(10, blocks=[[1], [2], [3]], q="y1 + y2^2 + 3*m") == 3 * comb(10, 3)
     assert cost(2, blocks=[[1], [2], [3]]) == 0
+
+
+def test_evaluate_cost_draws_flagged_positions_from_their_pools():
+    # a first (last) position takes a block minimum (maximum), one that is
+    # both a singleton block; other free positions take any element
+    lam = SetPartition([i % 10 for i in range(100)] + [10, 11])  # 12 blocks, 2 singletons
+
+    def cost(lam=lam, **constraints):
+        doc = dict(constraints, length=3, blocks=[[1], [2], [3]], q="1")
+        return evaluate_cost(pattern_from_dict(doc), lam)
+
+    assert cost(lasts=[1, 2, 3]) == comb(12, 3)
+    assert cost(firsts=[1, 2], lasts=[3]) == comb(12, 2) * 12
+    assert cost(firsts=[1, 2, 3], lasts=[1, 2, 3]) == 0
+    assert cost(firsts=[1], lasts=[1]) == 2 * comb(102, 2)
+    assert cost(firsts=[1], lasts=[2]) == 12 * 12 * 102
+    # never above C(n, k'), the k'-subsets of [n]: on 10 singletons, not 10 * C(10, 2)
+    assert cost(SetPartition(range(10)), firsts=[1]) == comb(10, 3)
 
 
 def test_pattern_length_is_capped_in_make():

@@ -105,9 +105,7 @@ def test_fit_recovers_known_dim_mean():
     pts = default_sample_points(profile)
     moments = dim_moments_range(k, max(pts))
     r = fit([(n, moments[n][k]) for n in pts], profile)
-    assert r.coefficient(1) == (Fraction(4), Fraction(1))
-    assert r.coefficient(2) == (Fraction(-2),)
-    assert r.coefficient(0) == ()
+    assert r.coeffs == ((1, (Fraction(4), Fraction(1))), (2, (Fraction(-2),)))
 
 
 def test_fit_recovers_known_int_mean():
