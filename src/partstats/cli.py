@@ -83,7 +83,8 @@ def _guard(value: int, force: bool, bound: int, what: str, measured, name: str =
     """Refuse ``value`` past ``bound`` unless forced, in one line naming the
     subject (``name=value``, or with no name the estimated cost), the guard,
     its bound and ``measured``: the cost seen at the bound, or a function of
-    ``value`` that prices it, called only when refusing."""
+    ``value`` that prices it, called only when refusing (the brute-force
+    price comes from ``log_bell_asym``, which has no value at n = 0)."""
     if value <= bound or force:
         return
     if callable(measured):

@@ -486,25 +486,26 @@ def aggregate_cost(f: Statistic, n: int) -> int:
 
 
 def evaluate_cost(f: Statistic, lam: SetPartition) -> int:
-    """A bound on the work of ``f.evaluate(lam)``: the occurrences of each term
-    that fits in [n] times its y-monomial groups.  A position pinned to an
-    earlier one by an arc or a consecutive pair has at most one candidate.
-    Every other position draws from a pool: a ``first`` position from the
-    block minima, a ``last`` one from the block maxima, one that is both from
-    the singleton blocks, any other from [n].  An increasing occurrence is the
-    union of the values it takes from each pool, so k_p free positions in
-    pool p allow at most prod C(|p|, k_p) occurrences, and k' free positions
-    in all at most C(n, k')."""
+    """A bound on the work of ``f.evaluate(lam)``: the candidates the occurrence
+    search examines at every node (prefix) of its tree, times the weight's
+    y-monomial groups.  A free position (not pinned by an arc or a consecutive
+    pair) draws from the block minima if ``first``, the maxima if ``last``, the
+    singleton blocks if both, else [n]; see the README's guard section."""
     n, sizes = lam.n, Counter(lam.rgs)
-    singletons = sum(size == 1 for size in sizes.values())
     pools = {(False, False): n, (True, False): len(sizes), (False, True): len(sizes),
-             (True, True): singletons}
+             (True, True): sum(size == 1 for size in sizes.values())}
     total = 0
-    for k, steps, groups in f._tables:
-        if k <= n:
-            free = Counter((first, last) for _, arc, adj, first, last, _ in steps if not (arc or adj))
-            by_pool = prod(comb(pools[pool], c) for pool, c in free.items())
-            total += min(by_pool, comb(n, sum(free.values()))) * len(groups)
+    for k, steps, groups in (t for t in f._tables if t[0] <= n):
+        counts, work = Counter(), 1  # the root
+        for i, (prev, arc, adj, first, last, _) in enumerate(steps):
+            fresh = prev < 0 and not (arc or adj)  # scans every value: one more from [n]
+            drawn = counts + Counter({(False, False): 1}) if fresh else counts
+            prefixes = min(prod(comb(pools[p], c) for p, c in drawn.items()),
+                           comb(n - k + i + fresh, sum(drawn.values())))
+            walks = prev >= 0 and not (arc or adj)  # at most the largest block
+            work += prefixes * (max(sizes.values()) if walks else 1)
+            counts[first, last] += not (arc or adj)
+        total += work * len(groups)
     return total
 
 
@@ -676,8 +677,7 @@ MAX_WEIGHT_DEGREE = 16
 # Largest number of monomials a product or power in a DSL weight may have,
 # by an upper bound checked before it is built.  The degree cap alone lets
 # (y1+...+y8+m)^16 build 735,471 monomials; at this cap the slowest power,
-# (y1+...+y4+m)^12, builds 1,820 by 12 products in 0.20-0.23 s (CPython 3.11,
-# 2-vCPU x86-64).
+# (y1+...+y4+m)^12, builds 1,820 in 0.20-0.23 s (CPython 3.11, 2-vCPU x86-64).
 MAX_WEIGHT_MONOMIALS = 2048
 # Largest pattern length a DSL document may have.  The occurrence search
 # recurses once per position, and a pattern longer than n has no occurrences.

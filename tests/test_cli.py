@@ -566,7 +566,7 @@ def test_eval_cost_guard_and_force(tmp_path, capsys, monkeypatch):
     # the benchmark's largest eval jobs, length 4 at n = 30 with up to 3 weight
     # terms, stay far below the bound
     assert 100 * 3 * math.comb(30, 4) <= cli.EVAL_GUARD
-    monkeypatch.setattr(cli, "EVAL_GUARD", 10)  # C(8, 6) = 28
+    monkeypatch.setattr(cli, "EVAL_GUARD", 10)  # estimate C(9, 6) = 84; C(8, 6) = 28 occurrences
     assert invoke(capsys, "eval", "--pattern", str(path), "--partition", "0,1,2,3,4,5,6,7")[0] == 1
     assert invoke(capsys, "eval", "--pattern", str(path), "--partition", "0,1,2,3,4,5,6,7",
                   "--force")[:2] == (0, "28\n")
@@ -574,12 +574,28 @@ def test_eval_cost_guard_and_force(tmp_path, capsys, monkeypatch):
 
 def test_eval_cost_prices_last_positions_by_blocks(tmp_path, capsys):
     # 5 singleton positions all in lasts take block maxima: on the 10 blocks
-    # i % 10 of n = 100 at most C(10, 5) occurrences, not C(100, 5)
+    # i % 10 of n = 100 each depth d scans [n] from at most C(10, d) prefixes,
+    # an estimate of 38,597, not about C(101, 5)
     path = tmp_path / "lasts.json"
     path.write_text(json.dumps({"length": 5, "blocks": [[i] for i in range(1, 6)],
                                 "lasts": [1, 2, 3, 4, 5], "q": "1"}))
     partition = ",".join(str(i % 10) for i in range(100))
     assert invoke(capsys, "eval", "--pattern", str(path), "--partition", partition) == (0, "252\n", "")
+
+
+def test_eval_cost_counts_the_prefixes_before_an_empty_pool(tmp_path, capsys):
+    # 5 singleton positions, the last both first and last, on 100 pairs
+    # (n = 200, no singleton block): no occurrence, yet every prefix of 4
+    # positions scans the values above it, about C(200, 5) candidates
+    path = tmp_path / "late.json"
+    path.write_text(json.dumps({"length": 5, "blocks": [[i] for i in range(1, 6)],
+                                "firsts": [5], "lasts": [5], "q": "1"}))
+    partition = ",".join(str(i % 100) for i in range(200))
+    start = time.perf_counter()
+    assert invoke(capsys, "eval", "--pattern", str(path), "--partition", partition) == (
+        1, "", "error: estimated cost about 10^9.4 exceeds the eval cost guard (%d; %s); "
+        "pass --force to override\n" % (cli.EVAL_GUARD, cli.EVAL_COST))
+    assert time.perf_counter() - start < 1.0
 
 
 # --- pattern documents: every malformed one exits 1 -----------------------------

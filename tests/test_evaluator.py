@@ -10,6 +10,7 @@ of [n]; closed forms check the DP at sizes no enumeration reaches.
 from fractions import Fraction
 from itertools import combinations
 from math import comb
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +25,7 @@ from partstats.statistics import (
     StatisticError,
     WeightPolynomial,
     _merges,
+    _search,
     aggregate,
     aggregate_cost,
     aggregate_range,
@@ -422,36 +424,80 @@ def test_evaluate_cost_bounds_the_occurrences(p):
         assert all(len(ref_occurrences(p, lam)) <= evaluate_cost(f, lam) for lam in partitions)
 
 
+def search_work(f: Statistic, lam: SetPartition) -> int:
+    """The candidates the occurrence search examines over its whole tree while
+    ``f.evaluate(lam)`` runs: one per node for a pinned position, the rest of
+    the block for a repeated one, every value in range for a fresh one."""
+    work = 0
+
+    def counting(steps, weight, views, out, x, used, i, lo):
+        nonlocal work
+        n, _, nxt, _ = views
+        prev, arc, adj = steps[i][:3]
+        hi = n - len(steps) + 1 + i
+        if arc or adj:
+            work += 1
+        elif prev >= 0:
+            v = nxt[x[prev]]
+            while v and v <= hi:
+                work += 1
+                v = nxt[v]
+        else:
+            work += max(hi - lo + 1, 0)
+        return _search(steps, weight, views, out, x, used, i, lo)
+
+    with mock.patch("partstats.statistics._search", counting):
+        f.evaluate(lam)
+    return work
+
+
+@settings(max_examples=60, deadline=None)
+@given(patterns(max_k=5))
+def test_evaluate_cost_bounds_the_search_work(p):
+    # every node of the search tree counts, not only the occurrences at its
+    # leaves: a late small pool must not hide the prefixes built before it
+    f = Statistic([(p, WeightPolynomial.constant(p.k, 1))])
+    for n, partitions in PARTITIONS.items():
+        assert all(search_work(f, lam) <= evaluate_cost(f, lam) for lam in partitions)
+
+
 def test_evaluate_cost_counts_free_positions():
     # an arc or a consecutive pair pins a position to the one before it, and
-    # each y-monomial group of the weight counts once per occurrence
+    # each y-monomial group of the weight counts once per candidate; with no
+    # flags, the root and the scans at depths 0..k-1 add up to C(n + 1, k)
     def cost(n, q="1", **constraints):
         return evaluate_cost(pattern_from_dict(dict(constraints, length=3, q=q)),
                              SetPartition(range(n)))
 
-    assert cost(10, blocks=[[1], [2], [3]]) == comb(10, 3)
-    assert cost(10, blocks=[[1, 2, 3]], arcs=[[1, 2], [2, 3]]) == 10
-    assert cost(10, blocks=[[1], [2], [3]], consecutive=[[2, 3]]) == comb(10, 2)
-    assert cost(10, blocks=[[1], [2], [3]], q="y1 + y2^2 + 3*m") == 3 * comb(10, 3)
+    assert cost(10, blocks=[[1], [2], [3]]) == comb(11, 3)
+    # root, scan for x1 <= 8, then one candidate at each of 8 and 9 prefixes
+    assert cost(10, blocks=[[1, 2, 3]], arcs=[[1, 2], [2, 3]]) == 1 + 8 + 8 + 9
+    # root, scans for x1 <= 8 and x2 <= 9, then one candidate per prefix (x1, x2)
+    assert cost(10, blocks=[[1], [2], [3]], consecutive=[[2, 3]]) == 1 + 8 + comb(9, 2) + comb(9, 2)
+    assert cost(10, blocks=[[1], [2], [3]], q="y1 + y2^2 + 3*m") == 3 * comb(11, 3)
     assert cost(2, blocks=[[1], [2], [3]]) == 0
 
 
 def test_evaluate_cost_draws_flagged_positions_from_their_pools():
     # a first (last) position takes a block minimum (maximum), one that is
-    # both a singleton block; other free positions take any element
-    lam = SetPartition([i % 10 for i in range(100)] + [10, 11])  # 12 blocks, 2 singletons
+    # both a singleton block; other free positions take any element.  The
+    # search still scans every value in range for a flagged position
+    lam = SetPartition([i % 10 for i in range(100)] + [10, 11])  # n = 102, 12 blocks, 2 singletons
 
     def cost(lam=lam, **constraints):
         doc = dict(constraints, length=3, blocks=[[1], [2], [3]], q="1")
         return evaluate_cost(pattern_from_dict(doc), lam)
 
-    assert cost(lasts=[1, 2, 3]) == comb(12, 3)
-    assert cost(firsts=[1, 2], lasts=[3]) == comb(12, 2) * 12
-    assert cost(firsts=[1, 2, 3], lasts=[1, 2, 3]) == 0
-    assert cost(firsts=[1], lasts=[1]) == 2 * comb(102, 2)
-    assert cost(firsts=[1], lasts=[2]) == 12 * 12 * 102
-    # never above C(n, k'), the k'-subsets of [n]: on 10 singletons, not 10 * C(10, 2)
-    assert cost(SetPartition(range(10)), firsts=[1]) == comb(10, 3)
+    # root; scan for x1 <= 100; one block maximum, then a scan; two, then a scan
+    assert cost(lasts=[1, 2, 3]) == 1 + 100 + 12 * 102 + comb(12, 2) * 102
+    assert cost(firsts=[1, 2], lasts=[3]) == cost(lasts=[1, 2, 3])
+    assert cost(firsts=[1, 2, 3], lasts=[1, 2, 3]) == 1 + 100 + 2 * 102 + 1 * 102
+    # an empty pool at the last position does not cancel the prefixes before
+    # it: 100 pairs, no singleton, yet every prefix (x1, x2) scans to n = 200
+    pairs = SetPartition([i % 100 for i in range(200)])
+    assert cost(pairs, firsts=[3], lasts=[3]) == 1 + 198 + comb(199, 2) + comb(200, 3)
+    # never above C(n + 1, k), the unflagged count: on 10 singletons, not 10 * C(10, 2)
+    assert cost(SetPartition(range(10)), firsts=[1]) == comb(11, 3)
 
 
 def test_pattern_length_is_capped_in_make():
