@@ -79,16 +79,12 @@ def _load_statistic(path: str) -> statistics.Statistic:
         raise CliError("invalid pattern: %s" % e)
 
 
-def _guard(value: int, force: bool, bound: int, what: str, measured, name: str = "") -> None:
+def _guard(value: int, force: bool, bound: int, what: str, measured: str, name: str = "") -> None:
     """Refuse ``value`` past ``bound`` unless forced, in one line naming the
     subject (``name=value``, or with no name the estimated cost), the guard,
-    its bound and ``measured``: the cost seen at the bound, or a function of
-    ``value`` that prices it, called only when refusing (the brute-force
-    price comes from ``log_bell_asym``, which has no value at n = 0)."""
+    its bound and ``measured``, the cost seen at the bound or at ``value``."""
     if value <= bound or force:
         return
-    if callable(measured):
-        measured = measured(value)
     if not name:
         subject = "estimated cost about 10^%.1f" % math.log10(value)
     else:
@@ -101,9 +97,10 @@ def _guard(value: int, force: bool, bound: int, what: str, measured, name: str =
 
 
 def _brute_force_cost(n: int) -> str:
-    """The brute-force walk visits all B_n partitions; never compute B_n here."""
+    """The brute-force walk visits all B_n partitions; never compute B_n here.
+    B_0 = B_1 = 1, and ``log_bell_asym`` has no value at n = 0."""
     try:
-        return "about 10^%.1f partitions" % (asymptotics.log_bell_asym(n) / math.log(10))
+        return "about 10^%.1f partitions" % (asymptotics.log_bell_asym(max(n, 1)) / math.log(10))
     except OverflowError:  # ln B_n overflows a float only from n > 10^305 on
         return "over 10^(10^300) partitions"
 
@@ -163,7 +160,7 @@ def _cmd_dist(args) -> None:
     if args.n < 0:
         raise CliError("--n must be nonnegative")
     if args.brute:
-        _guard(args.n, args.force, BRUTE_GUARD, "brute-force guard", _brute_force_cost, "n")
+        _guard(args.n, args.force, BRUTE_GUARD, "brute-force guard", _brute_force_cost(args.n), "n")
         try:
             hist = brute_distribution(args.n, args.target)
         except ValueError as e:  # a forced n past the recursion limit

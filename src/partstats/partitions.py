@@ -28,7 +28,7 @@ class SetPartition:
         rgs = tuple(rgs)
         mx = -1
         for j, a in enumerate(rgs):
-            if a < 0 or a > mx + 1:
+            if type(a) is not int or a < 0 or a > mx + 1:
                 raise PartitionError(
                     "not a restricted growth string at position %d: %r" % (j + 1, rgs)
                 )

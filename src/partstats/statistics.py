@@ -144,6 +144,10 @@ class WeightPolynomial:
 # patterns
 # ---------------------------------------------------------------------------
 
+def _is_positions(v) -> bool:
+    return isinstance(v, (list, tuple, set, range)) and all(type(i) is int for i in v)
+
+
 @dataclass(frozen=True)
 class Pattern:
     """(equivalence, firsts, lasts, arcs, consecutive) over positions 1..k.
@@ -152,7 +156,8 @@ class Pattern:
     position sets are sorted tuples with 1-indexed entries.  A pattern
     whose constraints are unsatisfiable (e.g. nonconsecutive entries in
     ``consecutive``) is legal; it has no occurrences, and no ``Statistic``
-    keeps it.
+    keeps it.  ``make`` checks its input; the constructor checks only the
+    length cap, so it takes fields already in this form.
     """
 
     k: int
@@ -162,12 +167,25 @@ class Pattern:
     arcs: tuple = ()
     consecutive: tuple = ()
 
+    def __post_init__(self):
+        if self.k > MAX_MERGED_LENGTH:
+            raise StatisticError(
+                "pattern length %d exceeds MAX_MERGED_LENGTH = %d" % (self.k, MAX_MERGED_LENGTH)
+            )
+
     @classmethod
     def make(cls, k, equiv, firsts=(), lasts=(), arcs=(), consecutive=()) -> "Pattern":
-        if k > MAX_MERGED_LENGTH:
-            raise StatisticError(
-                "pattern length %d exceeds MAX_MERGED_LENGTH = %d" % (k, MAX_MERGED_LENGTH)
-            )
+        """The one checked door for pattern input, from the DSL or a library call."""
+        for key, v in (("firsts", firsts), ("lasts", lasts)):
+            if not _is_positions(v):
+                raise StatisticError("'%s' must be a list of integer positions" % key)
+        for key, v in (("arcs", arcs), ("consecutive", consecutive)):
+            if not isinstance(v, (list, tuple, set, range)) or not all(
+                isinstance(pr, (list, tuple)) and len(pr) == 2 and _is_positions(pr) for pr in v
+            ):
+                raise StatisticError(
+                    "'%s' must be a list of [a, b] pairs of integer positions" % key
+                )
         equiv = canonical_rgs(equiv)
         if len(equiv) != k:
             raise StatisticError("equivalence must cover all %d positions" % k)
@@ -599,8 +617,11 @@ def _merges(p1: Pattern, p2: Pattern):
                 lasts = {m[i - 1] for p, m in sides for i in p.lasts}
                 arcs = {(m[a - 1], m[b - 1]) for p, m in sides for a, b in p.arcs}
                 cons = {(m[a - 1], m[b - 1]) for p, m in sides for a, b in p.consecutive}
+                # no make() checks: the maps increase into 1..k3 and each join agrees
+                # with p1 where they share, so every target is valid by construction
+                fields = [tuple(sorted(s)) for s in (firsts, lasts, arcs, cons)]
                 for equiv in sorted(equivs):
-                    yield Pattern.make(k3, equiv, firsts, lasts, arcs, cons), m1, m2
+                    yield Pattern(k3, equiv, *fields), m1, m2
 
 
 # ---------------------------------------------------------------------------
@@ -682,7 +703,7 @@ MAX_WEIGHT_MONOMIALS = 2048
 # Largest pattern length a DSL document may have.  The occurrence search
 # recurses once per position, and a pattern longer than n has no occurrences.
 MAX_PATTERN_LENGTH = 64
-# Largest length any pattern may have, checked by ``Pattern.make``: the
+# Largest length any pattern may have, checked as each ``Pattern`` is built: the
 # occurrence search recurses once per position, so this keeps it far below
 # the interpreter's recursion limit.  Twice the DSL cap, so the product of
 # two DSL patterns still builds.
@@ -802,23 +823,6 @@ def _parse_q(text: str, k: int) -> WeightPolynomial:
     return result
 
 
-def _positions(doc: dict, key: str) -> list:
-    v = doc.get(key, [])
-    if not isinstance(v, (list, tuple)) or any(type(i) is not int for i in v):
-        raise StatisticError("'%s' must be a list of integer positions" % key)
-    return list(v)
-
-
-def _pairs(doc: dict, key: str) -> list:
-    v = doc.get(key, [])
-    if not isinstance(v, (list, tuple)) or any(
-        not isinstance(pr, (list, tuple)) or len(pr) != 2 or any(type(i) is not int for i in pr)
-        for pr in v
-    ):
-        raise StatisticError("'%s' must be a list of [a, b] pairs of integer positions" % key)
-    return [tuple(pr) for pr in v]
-
-
 def pattern_from_dict(doc: dict) -> Statistic:
     """Build a one-pattern statistic from a DSL document (parsed JSON object)."""
     k = doc.get("length")
@@ -846,14 +850,8 @@ def pattern_from_dict(doc: dict) -> Statistic:
     q = doc.get("q", "1")
     if not isinstance(q, str):
         raise StatisticError("'q' must be a string, such as \"y1 + 1/2*m\"")
-    p = Pattern.make(
-        k,
-        [labels[x] for x in range(1, k + 1)],
-        firsts=_positions(doc, "firsts"),
-        lasts=_positions(doc, "lasts"),
-        arcs=_pairs(doc, "arcs"),
-        consecutive=_pairs(doc, "consecutive"),
-    )
+    fields = (doc.get(key, []) for key in ("firsts", "lasts", "arcs", "consecutive"))
+    p = Pattern.make(k, [labels[x] for x in range(1, k + 1)], *fields)
     return Statistic([(p, _parse_q(q, k))])
 
 

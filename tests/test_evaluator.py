@@ -509,3 +509,6 @@ def test_pattern_length_is_capped_in_make():
         builtin("blocks_of_size", i=1200).evaluate(SetPartition([0] * 1200))
     with pytest.raises(StatisticError, match="MAX_MERGED_LENGTH"):
         Pattern.make(MAX_MERGED_LENGTH + 1, [0] * (MAX_MERGED_LENGTH + 1))
+    # merge targets are built without make, and the cap still holds for them
+    with pytest.raises(StatisticError, match="MAX_MERGED_LENGTH"):
+        builtin("blocks_of_size", i=MAX_MERGED_LENGTH) * builtin("blocks")

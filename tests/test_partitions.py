@@ -130,6 +130,13 @@ def test_invalid_rgs_rejected():
             SetPartition(bad)
 
 
+@pytest.mark.parametrize("bad", [[0, 0.5], [0, 1.0], [0, True], [0, "1"], [False]])
+def test_non_integer_entries_rejected(bad):
+    # refused up front, naming the position, not by a later TypeError
+    with pytest.raises(PartitionError, match="at position %d: " % len(bad)):
+        SetPartition(bad)
+
+
 def test_marked_enumeration_counts():
     # each partition contributes 2^(number of blocks) markings
     for n in range(6):

@@ -17,6 +17,7 @@ from partstats.statistics import (
     merge_product,
     occurrences,
     parse_pattern,
+    pattern_from_dict,
 )
 
 LAM = parse_partition("1356|27|4")
@@ -119,7 +120,7 @@ def test_weight_polynomial_arithmetic():
     assert q.total_degree() == 2
 
 
-def test_weight_polynomial_power_by_squaring():
+def test_weight_polynomial_power_is_repeated_product():
     q = WeightPolynomial.variable(2, 1) + WeightPolynomial.ground_size(2).scaled(Fraction(1, 2))
     product = WeightPolynomial.constant(2, 1)
     for e in range(12):
@@ -269,6 +270,29 @@ def test_builtin_parameters_must_be_integers(k):
 def test_arc_requires_coblocked_positions():
     with pytest.raises(StatisticError):
         Pattern.make(2, [0, 1], arcs=[(1, 2)])
+
+
+@pytest.mark.parametrize("key, value", [
+    *(("firsts", v) for v in ([1.0], [True], ["1"], 5, None)),
+    ("arcs", [(1,)]),
+    ("arcs", [(1.0, 2)]),
+    ("consecutive", [[1, 2, 3]]),
+])
+def test_pattern_make_refuses_malformed_input_as_the_dsl_does(key, value):
+    # a library call gets the DSL's checks and messages, not a later TypeError
+    with pytest.raises(StatisticError) as e:
+        Pattern.make(2, [0, 0], **{key: value})
+    with pytest.raises(StatisticError) as dsl:
+        pattern_from_dict({"length": 2, "blocks": [[1, 2]], key: value})
+    shape = "integer positions" if key == "firsts" else "[a, b] pairs of integer positions"
+    assert str(e.value) == str(dsl.value) == "'%s' must be a list of %s" % (key, shape)
+
+
+def test_pattern_make_takes_lists_tuples_sets_and_ranges():
+    expected = Pattern.make(2, [0, 0], firsts=[1], arcs=[(1, 2)], consecutive=[[1, 2]])
+    for firsts, arcs in [({1}, ((1, 2),)), (range(1, 2), {(1, 2)})]:
+        assert Pattern.make(2, (0, 0), firsts=firsts, arcs=arcs, consecutive=[(1, 2)]) == expected
+    assert expected == Pattern(2, (0, 0), firsts=(1,), arcs=((1, 2),), consecutive=((1, 2),))
 
 
 # --- equidistribution of the two crossing-type statistics -------------------
