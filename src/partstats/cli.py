@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 
 from . import asymptotics, recursions, shifted_bell, statistics
-from .exactnum import bell, bell_mod_table
+from .exactnum import bell, bell_mod_table, bell_text, unlimited_int_digits
 from .partitions import PartitionError, brute_distribution, parse_partition
 from .statistics import StatisticError
 
@@ -120,18 +120,13 @@ def _check_sizes(args) -> None:
 
 
 def _csv(header: str, rows) -> str:
-    """``header`` and one ``a,b`` line per integer pair, printed in full.
+    """``header`` and one ``a,b`` line per pair, printed in full.
 
-    The rows are computed, not read, so CPython's limit on the digits of an
-    int-to-str conversion (which guards parsing input) is lifted while they
-    are formatted: B_n has more than 4300 digits from n = 1981 on.
+    ``a`` is an int and ``b`` an int or its decimal text.  The rows are
+    computed, not read, so they are formatted under ``unlimited_int_digits``.
     """
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        return header + "\n" + "".join("%d,%d\n" % row for row in rows)
-    finally:
-        sys.set_int_max_str_digits(limit)
+    with unlimited_int_digits():
+        return header + "\n" + "".join("%d,%s\n" % row for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +147,7 @@ def _cmd_bell(args) -> None:
         values = bell_mod_table(args.max, args.mod)
     else:
         _guard(args.max, args.force, ASYM_GUARD, "bell guard", ASYM_COST, "max")
-        values = [bell(n) for n in range(args.max + 1)]
+        values = bell_text(args.max)
     _write(args, _csv("n,bell", enumerate(values)))
 
 

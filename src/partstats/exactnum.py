@@ -7,8 +7,26 @@ throughout the package.
 
 from __future__ import annotations
 
+import sys
 import threading
+from contextlib import contextmanager
 from itertools import accumulate
+
+
+@contextmanager
+def unlimited_int_digits():
+    """Lift CPython's limit on the digits of an int-to-str conversion.
+
+    The limit guards the parsing of input; the numbers formatted inside
+    this block are computed, and B_n has more than 4300 digits from
+    n = 1981 on.  The previous limit is restored on exit.
+    """
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 class BellTable:
@@ -18,11 +36,13 @@ class BellTable:
     B_{n+1} = sum_k C(n,k) B_k; a table instance only ever grows.
     Extension is guarded by a lock so a shared table is safe to grow
     from multiple threads; reads of already-computed entries are free.
+    The decimal text of each B_n is made at most once, on demand, and kept.
     """
 
     def __init__(self) -> None:
         self._values = [1, 1]  # B_0, B_1
         self._row = [1]  # latest triangle row; last entry is B_1
+        self._texts = []  # str(B_0), str(B_1), ...; never longer than _values
         self._lock = threading.Lock()
 
     @property
@@ -67,6 +87,19 @@ class BellTable:
                 values.append(row[-1] % m)
         return values
 
+    def text(self, nmax: int) -> list[str]:
+        """The decimal text of B_0..B_nmax.  Each is formatted once per table
+        and kept: CPython's int-to-str is quadratic in the digits."""
+        if nmax < 0:
+            raise ValueError("nmax must be nonnegative")
+        self.extend(nmax)  # before the lock, which is not re-entrant
+        with self._lock:
+            texts = self._texts
+            if len(texts) <= nmax:
+                with unlimited_int_digits():
+                    texts.extend(map(str, self._values[len(texts): nmax + 1]))
+            return texts[: nmax + 1]
+
     def __getitem__(self, n: int) -> int:
         if n < 0:
             raise ValueError("Bell numbers are indexed by naturals, got %d" % n)
@@ -104,6 +137,11 @@ def unpack(packed: int, size: int) -> dict:
 def bell_mod_table(nmax: int, m: int) -> list[int]:
     """B_0..B_nmax reduced mod m; see ``BellTable.mod_table``."""
     return _BELL.mod_table(nmax, m)
+
+
+def bell_text(nmax: int) -> list[str]:
+    """The decimal text of B_0..B_nmax; see ``BellTable.text``."""
+    return _BELL.text(nmax)
 
 
 def bell_mod(n: int, m: int) -> int:

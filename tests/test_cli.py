@@ -163,6 +163,7 @@ def test_bell_guard_and_force(capsys, monkeypatch):
 
     huge = "1" + "0" * 400
     monkeypatch.setattr(cli, "bell", no_table)
+    monkeypatch.setattr(cli, "bell_text", no_table)
     monkeypatch.setattr(cli, "bell_mod_table", no_table)
     for n in (str(cli.ASYM_GUARD + 1), huge):
         start = time.perf_counter()
@@ -378,18 +379,32 @@ def test_zero_weight_document_fits_to_zero(tmp_path, capsys, doc):
     assert invoke(capsys, "aggregate", "--pattern", str(path), "--n", "7")[:2] == (0, "0\n")
 
 
-def test_bell_prints_numbers_beyond_the_int_str_limit(capsys):
-    # B_1990 has more than 4300 digits, CPython's default int-to-str limit
+def test_bell_prints_numbers_beyond_the_int_str_limit(capsys, monkeypatch, tmp_path):
+    # B_n has more than 4300 digits, CPython's default int-to-str limit, from
+    # n = 1981 on. The calls start from an empty table and grow, shrink and
+    # regrow its memo of decimal text; the expected rows are formatted here
+    # from the exact ints.
     limit = sys.get_int_max_str_digits()
-    code, out, err = invoke(capsys, "bell", "--max", "1990")
-    assert code == 0 and err == ""
-    assert sys.get_int_max_str_digits() == limit
+    sizes = (1990, 5, 1440, 2000, 0)
+    values = [bell(n) for n in range(max(sizes) + 1)]
     sys.set_int_max_str_digits(0)
     try:
-        expected = "1990,%d" % bell(1990)
+        rows = ["%d,%d\n" % row for row in enumerate(values)]
     finally:
         sys.set_int_max_str_digits(limit)
-    assert out.splitlines()[-1] == expected
+    monkeypatch.setattr(exactnum, "_BELL", exactnum.BellTable())
+    target = tmp_path / "bell.csv"
+    for n, out_path in [(n, None) for n in sizes] + [(1985, target)]:
+        argv = ["bell", "--max", str(n)] + (["--out", str(out_path)] if out_path else [])
+        code, out, err = invoke(capsys, *argv)
+        if out_path:
+            assert out == ""
+            out = out_path.read_text()
+        assert code == 0 and err == ""
+        assert out == "n,bell\n" + "".join(rows[: n + 1]), n
+        assert sys.get_int_max_str_digits() == limit
+        with pytest.raises(ValueError):
+            int("9" * 5000)
 
 
 def test_negative_profile_parameters_exit_one(tmp_path, capsys):

@@ -5,7 +5,8 @@ import threading
 import pytest
 from hypothesis import example, given, strategies as st
 
-from partstats.exactnum import BellTable, bell, bell_mod, bell_mod_table, stirling2, unpack
+from partstats.exactnum import (BellTable, bell, bell_mod, bell_mod_table, bell_text, stirling2,
+                                unpack)
 
 BELL_SMALL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975]
 
@@ -104,6 +105,45 @@ def test_mod_table_reads_a_consistent_snapshot():
     finally:
         sys.setswitchinterval(interval)
     assert results == [expected] * len(results)
+
+
+def test_text_formats_each_value_once():
+    table = BellTable()
+    assert table.text(0) == ["1"] and table.text(10) == [str(b) for b in BELL_SMALL]
+    first, again = table.text(40), table.text(60)
+    assert again[:41] == first == [str(bell(n)) for n in range(41)]
+    assert all(a is b for a, b in zip(first, again))  # kept, not formatted again
+    assert bell_text(5) == ["1", "1", "2", "5", "15", "52"]
+    with pytest.raises(ValueError):
+        table.text(-1)
+
+
+def test_text_reads_are_consistent_while_the_table_grows():
+    # one thread grows a fresh table row by row while two others read decimal
+    # text at rising sizes, each extending the table and its memo; every read
+    # must equal str of the exact values, with no entry lost or repeated
+    nmax = 300
+    expected = [str(bell(n)) for n in range(nmax + 1)]
+    sizes = range(nmax + 1)
+    results = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(6):
+            table = BellTable()
+            grower = threading.Thread(target=lambda: [table.extend(n) for n in range(2, nmax + 1)])
+            readers = [threading.Thread(target=lambda: results.extend((k, table.text(k)) for k in sizes))
+                       for _ in range(2)]
+            for th in [grower] + readers:
+                th.start()
+            for th in [grower] + readers:
+                th.join(timeout=60)
+            assert not any(th.is_alive() for th in [grower] + readers)
+            assert table.text(nmax) == expected
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(results) == 12 * len(sizes)
+    assert all(text == expected[: k + 1] for k, text in results)
 
 
 @given(st.lists(st.integers(min_value=0, max_value=2**40 - 1), max_size=20),
