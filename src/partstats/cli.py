@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 
 from . import asymptotics, recursions, shifted_bell, statistics
-from .exactnum import bell, bell_mod_table, bell_text, unlimited_int_digits
+from .exactnum import bell, bell_mod_table, bell_text, exact_text
 from .partitions import PartitionError, brute_distribution, parse_partition
 from .statistics import StatisticError
 
@@ -120,13 +120,9 @@ def _check_sizes(args) -> None:
 
 
 def _csv(header: str, rows) -> str:
-    """``header`` and one ``a,b`` line per pair, printed in full.
-
-    ``a`` is an int and ``b`` an int or its decimal text.  The rows are
-    computed, not read, so they are formatted under ``unlimited_int_digits``.
-    """
-    with unlimited_int_digits():
-        return header + "\n" + "".join("%d,%s\n" % row for row in rows)
+    """``header`` and one ``a,b`` line per pair: ``a`` a small int and ``b``
+    text, the ``exact_text`` of a computed number."""
+    return header + "\n" + "".join("%d,%s\n" % row for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +140,7 @@ def _cmd_bell(args) -> None:
             raise CliError("--mod must be at least 2")
         _guard((args.max + 1) ** 2 * (args.mod.bit_length() // 64 + 1), args.force,
                BELL_MOD_GUARD, "bell --mod cost guard", BELL_MOD_COST)
-        values = bell_mod_table(args.max, args.mod)
+        values = map(exact_text, bell_mod_table(args.max, args.mod))
     else:
         _guard(args.max, args.force, ASYM_GUARD, "bell guard", ASYM_COST, "max")
         values = bell_text(args.max)
@@ -163,7 +159,7 @@ def _cmd_dist(args) -> None:
     else:
         _guard(args.n, args.force, DP_GUARD, "DP guard", DP_COST, "n")
         hist = getattr(recursions, args.target + "_distribution")(args.n)
-    _write(args, _csv("value,count", sorted(hist.items())))
+    _write(args, _csv("value,count", ((v, exact_text(c)) for v, c in sorted(hist.items()))))
 
 
 def _cmd_moments(args) -> None:
@@ -172,7 +168,7 @@ def _cmd_moments(args) -> None:
     _guard(recursions.moments_cost(args.k, args.n), args.force, MOMENTS_GUARD,
            "moments cost guard", MOMENTS_COST)
     values = getattr(recursions, args.target + "_moments")(args.k, args.n)
-    _write(args, _csv("k,moment", enumerate(values)))
+    _write(args, _csv("k,moment", enumerate(map(exact_text, values))))
 
 
 def _cmd_eval(args) -> None:
@@ -182,7 +178,7 @@ def _cmd_eval(args) -> None:
     except PartitionError as e:
         raise CliError("invalid partition: %s" % e)
     _guard(statistics.evaluate_cost(f, lam), args.force, EVAL_GUARD, "eval cost guard", EVAL_COST)
-    _write(args, "%s\n" % f.evaluate(lam))
+    _write(args, exact_text(f.evaluate(lam)) + "\n")
 
 
 def _cmd_aggregate(args) -> None:
@@ -191,7 +187,7 @@ def _cmd_aggregate(args) -> None:
     f = _load_statistic(args.pattern)
     _guard(statistics.aggregate_cost(f, args.n), args.force, AGGREGATE_GUARD,
            "aggregate cost guard", AGGREGATE_COST)
-    _write(args, "%s\n" % statistics.aggregate(f, args.n))
+    _write(args, exact_text(statistics.aggregate(f, args.n)) + "\n")
 
 
 def _fit_target(target: str, k: int) -> shifted_bell.ShiftedBellPolynomial:

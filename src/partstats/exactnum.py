@@ -2,31 +2,38 @@
 
 Everything here is exact. Python ints carry the arbitrary-precision
 integer arithmetic and ``fractions.Fraction`` is used for rationals
-throughout the package.
+throughout the package.  ``exact_text`` is the one formatter of computed
+numbers: it prints them at any size and never touches CPython's
+process-wide int-to-str digit limit, which keeps guarding input parsing.
 """
 
 from __future__ import annotations
 
-import sys
 import threading
-from contextlib import contextmanager
+from fractions import Fraction
 from itertools import accumulate
 
 
-@contextmanager
-def unlimited_int_digits():
-    """Lift CPython's limit on the digits of an int-to-str conversion.
+def exact_text(x: int | Fraction) -> str:
+    """``str(x)`` as it reads with no int-to-str digit limit.
 
-    The limit guards the parsing of input; the numbers formatted inside
-    this block are computed, and B_n has more than 4300 digits from
-    n = 1981 on.  The previous limit is restored on exit.
+    B_n has more than 4300 digits, CPython's default limit, from n = 1981
+    on.  An int of more than 1993 bits (about 10^600) is split by a power of
+    ten into halves that are formatted apart, the low half zero-filled, so
+    every ``str`` call stays below 640 digits, the smallest limit CPython
+    accepts.
     """
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(limit)
+    if isinstance(x, Fraction):
+        den = x.denominator
+        return exact_text(x.numerator) + ("/" + exact_text(den) if den != 1 else "")
+    if x < 0:
+        return "-" + exact_text(-x)
+    bits = x.bit_length()
+    if bits <= 1993:  # x < 2^1993 < 10^600
+        return str(x)
+    k = bits * 3 // 20  # 10^k < sqrt(x), so the high half is nonzero
+    hi, lo = divmod(x, 10**k)
+    return exact_text(hi) + exact_text(lo).zfill(k)
 
 
 class BellTable:
@@ -42,7 +49,7 @@ class BellTable:
     def __init__(self) -> None:
         self._values = [1, 1]  # B_0, B_1
         self._row = [1]  # latest triangle row; last entry is B_1
-        self._texts = []  # str(B_0), str(B_1), ...; never longer than _values
+        self._texts = []  # text of B_0, B_1, ...; never longer than _values
         self._lock = threading.Lock()
 
     @property
@@ -88,7 +95,7 @@ class BellTable:
         return values
 
     def text(self, nmax: int) -> list[str]:
-        """The decimal text of B_0..B_nmax.  Each is formatted once per table
+        """``exact_text`` of B_0..B_nmax.  Each is formatted once per table
         and kept: CPython's int-to-str is quadratic in the digits."""
         if nmax < 0:
             raise ValueError("nmax must be nonnegative")
@@ -96,8 +103,7 @@ class BellTable:
         with self._lock:
             texts = self._texts
             if len(texts) <= nmax:
-                with unlimited_int_digits():
-                    texts.extend(map(str, self._values[len(texts): nmax + 1]))
+                texts.extend(map(exact_text, self._values[len(texts): nmax + 1]))
             return texts[: nmax + 1]
 
     def __getitem__(self, n: int) -> int:

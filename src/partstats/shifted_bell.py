@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .exactnum import bell
+from .exactnum import bell, exact_text
 
 
 class DomainError(ValueError):
@@ -73,19 +73,20 @@ class ShiftedBellPolynomial:
             for e, c in enumerate(poly):
                 if c == 0:
                     continue
+                text = exact_text(c)
                 if e == 0:
-                    parts.append(str(c))
+                    parts.append(text)
                 elif e == 1:
-                    parts.append("%s*n" % c)
+                    parts.append(text + "*n")
                 else:
-                    parts.append("%s*n^%d" % (c, e))
+                    parts.append("%s*n^%d" % (text, e))
             chunks.append("j=%d: %s" % (j, " + ".join(parts).replace("+ -", "- ")))
         return " ; ".join(chunks)
 
     def to_dict(self) -> dict:
         return {
             "shifts": [
-                {"shift": j, "coefficients": [str(c) for c in poly]}
+                {"shift": j, "coefficients": [exact_text(c) for c in poly]}
                 for j, poly in self.coeffs
             ]
         }

@@ -18,6 +18,7 @@ from itertools import combinations, product
 from math import comb, lcm, prod
 from typing import Iterable, Mapping
 
+from .exactnum import exact_text
 from .partitions import SetPartition, canonical_rgs
 
 
@@ -720,7 +721,7 @@ def _natural(t: str) -> int:
 def _check_degree(d: int) -> None:
     if d > MAX_WEIGHT_DEGREE:
         raise StatisticError(
-            "weight degree %d exceeds MAX_WEIGHT_DEGREE = %d" % (d, MAX_WEIGHT_DEGREE)
+            "weight degree %s exceeds MAX_WEIGHT_DEGREE = %d" % (exact_text(d), MAX_WEIGHT_DEGREE)
         )
 
 

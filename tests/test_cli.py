@@ -12,9 +12,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import partstats
-from partstats import asymptotics, cli, exactnum, recursions, shifted_bell
+from partstats import asymptotics, cli, exactnum, recursions, shifted_bell, statistics
 from partstats.cli import run
 from partstats.exactnum import bell
+from partstats.partitions import parse_partition
 from partstats.statistics import MAX_PATTERN_LENGTH, MAX_WEIGHT_DEGREE, MAX_WEIGHT_MONOMIALS
 
 
@@ -379,6 +380,16 @@ def test_zero_weight_document_fits_to_zero(tmp_path, capsys, doc):
     assert invoke(capsys, "aggregate", "--pattern", str(path), "--n", "7")[:2] == (0, "0\n")
 
 
+def _unlimited(fn):
+    """``fn()`` with CPython's int-to-str digit limit lifted, then restored."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return fn()
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_bell_prints_numbers_beyond_the_int_str_limit(capsys, monkeypatch, tmp_path):
     # B_n has more than 4300 digits, CPython's default int-to-str limit, from
     # n = 1981 on. The calls start from an empty table and grow, shrink and
@@ -387,11 +398,7 @@ def test_bell_prints_numbers_beyond_the_int_str_limit(capsys, monkeypatch, tmp_p
     limit = sys.get_int_max_str_digits()
     sizes = (1990, 5, 1440, 2000, 0)
     values = [bell(n) for n in range(max(sizes) + 1)]
-    sys.set_int_max_str_digits(0)
-    try:
-        rows = ["%d,%d\n" % row for row in enumerate(values)]
-    finally:
-        sys.set_int_max_str_digits(limit)
+    rows = _unlimited(lambda: ["%d,%d\n" % row for row in enumerate(values)])
     monkeypatch.setattr(exactnum, "_BELL", exactnum.BellTable())
     target = tmp_path / "bell.csv"
     for n, out_path in [(n, None) for n in sizes] + [(1985, target)]:
@@ -405,6 +412,65 @@ def test_bell_prints_numbers_beyond_the_int_str_limit(capsys, monkeypatch, tmp_p
         assert sys.get_int_max_str_digits() == limit
         with pytest.raises(ValueError):
             int("9" * 5000)
+
+
+# every position weighs (10^299)^15 = 10^4485, which has 4486 digits
+_BIG_WEIGHT = {"length": 1, "blocks": [[1]], "q": "(1%s)^15" % ("0" * 299)}
+
+
+def test_results_past_the_int_str_limit_print_in_full(tmp_path, capsys):
+    # eval, aggregate and fit print computed numbers at any size; the
+    # references are formatted here with the limit lifted
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(_BIG_WEIGHT))
+    f = statistics.parse_pattern(path.read_text())
+    w = 10**4485
+    profile = shifted_bell.profile_generic(f.degree(), 1)
+    points = shifted_bell.default_sample_points(profile)
+    sums = statistics.aggregate_range(f, max(points))
+    fitted = shifted_bell.fit([(n, sums[n]) for n in points], profile)
+    assert fitted.coeffs == ((0, (0, w)),)  # the sum over Pi(n) is w * n * B_n
+    cases = [
+        (["eval", "--partition", "1|2|3"], lambda: "%s\n" % f.evaluate(parse_partition("1|2|3"))),
+        (["aggregate", "--n", "3"], lambda: "%s\n" % statistics.aggregate(f, 3)),
+        (["fit"], lambda: "j=0: %d*n\n%s\n" % (w, json.dumps(
+            {"shifts": [{"coefficients": ["0", str(w)], "shift": 0}]}, sort_keys=True))),
+    ]
+    for argv, expected in cases:
+        code, out, err = invoke(capsys, *argv, "--pattern", str(path))
+        assert (code, err) == (0, ""), argv
+        assert out == _unlimited(expected), argv
+
+
+def test_aggregate_of_the_empty_pattern_prints_b_n_past_the_limit(tmp_path, capsys):
+    # the empty pattern occurs once in each partition, so its sum is B_n, and
+    # B_2100 has 4605 digits
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"length": 0, "blocks": [], "q": "1"}))
+    code, out, err = invoke(capsys, "aggregate", "--pattern", str(path), "--n", "2100")
+    assert (code, err) == (0, "")
+    assert out == _unlimited(lambda: "%d\n" % bell(2100))
+
+
+def test_no_cli_path_changes_the_int_str_limit(tmp_path, capsys, monkeypatch):
+    # the limit is one setting for the whole process, so a command that lifts
+    # it races every other thread's input parsing; none may touch it
+    def refuse(limit):
+        raise AssertionError("sys.set_int_max_str_digits(%d) called" % limit)
+
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(_BIG_WEIGHT))
+    monkeypatch.setattr(exactnum, "_BELL", exactnum.BellTable())
+    monkeypatch.setattr(sys, "set_int_max_str_digits", refuse)
+    for argv in (["bell", "--max", "1990"], ["bell", "--max", "60", "--mod", "1000003"],
+                 ["aggregate", "--pattern", str(path), "--n", "3"],
+                 ["eval", "--pattern", str(path), "--partition", "1|2"],
+                 ["fit", "--pattern", str(path)], ["fit", "--target", "dim"],
+                 ["dist", "dim", "--n", "12"], ["dist", "int", "--n", "6", "--brute"],
+                 ["moments", "int", "--n", "12", "--k", "2"]):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        assert out
 
 
 def test_negative_profile_parameters_exit_one(tmp_path, capsys):
@@ -655,6 +721,10 @@ def test_weight_degree_cap_is_named():
     assert code == 1 and "MAX_WEIGHT_DEGREE = %d" % MAX_WEIGHT_DEGREE in err
     doc = {"length": 1, "blocks": [[1]], "q": "y1^%d" % MAX_WEIGHT_DEGREE}
     assert _eval_document(json.dumps(doc))[0] == 0
+    # the degree of (y1*y1)^(10^4300 - 1) has 4301 digits, one past the
+    # default int-to-str limit; it is named in full
+    code, err = _eval_document(json.dumps({"length": 1, "blocks": [[1]], "q": "(y1*y1)^" + "9" * 4300}))
+    assert code == 1 and err.startswith("error: invalid pattern: weight degree 1%s8 exceeds" % ("9" * 4299))
 
 
 def test_weight_monomial_cap_is_named():

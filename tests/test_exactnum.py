@@ -1,12 +1,13 @@
 import math
 import sys
 import threading
+from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from partstats.exactnum import (BellTable, bell, bell_mod, bell_mod_table, bell_text, stirling2,
-                                unpack)
+from partstats.exactnum import (BellTable, bell, bell_mod, bell_mod_table, bell_text, exact_text,
+                                stirling2, unpack)
 
 BELL_SMALL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975]
 
@@ -152,6 +153,51 @@ def test_text_reads_are_consistent_while_the_table_grows():
 def test_unpack_reads_every_slot(counts, size):
     packed = sum(c << 8 * size * i for i, c in enumerate(counts))
     assert unpack(packed, size) == {i: c for i, c in enumerate(counts) if c}
+
+
+def _with_digit_limit(limit, fn, *args):
+    """``fn(*args)`` under CPython's int-to-str digit limit ``limit`` (0 lifts
+    it); the limit in force before is restored."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        return fn(*args)
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def _check_exact_text(x):
+    # the reference is formatted with no limit; exact_text runs under the
+    # smallest limit CPython accepts, so no str call of its own may pass 640
+    want = _with_digit_limit(0, str, x)
+    assert _with_digit_limit(640, exact_text, x) == want
+
+
+@pytest.mark.parametrize("k", [0, 599, 600, 601, 639, 640, 4299, 4300, 4301, 5000])
+@pytest.mark.parametrize("d", [-1, 0, 1])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_exact_text_equals_str(k, d, sign):
+    # 10^k - 1, 10^k and 10^k + 1 about the split (near 10^600) and the
+    # default limit (4300 digits); 10^5000 and 10^5000 + 1 leave a low piece
+    # of zeros, and k = 0 gives 0 and +-1
+    _check_exact_text(sign * (10**k + d))
+
+
+def test_exact_text_of_fractions_and_split_edges_equals_str():
+    for x in [Fraction(10**5000 + 1), Fraction(-7, 1), Fraction(0), Fraction(3, 10**600 + 1),
+              Fraction(1, 10**4400 + 3), Fraction(-(10**4301) - 1, 10**6000 + 7)]:
+        _check_exact_text(x)
+    for bits in (1992, 1993, 1994):  # ints up to 1993 bits are formatted whole
+        for x in (2**bits - 1, 2**bits, -(2**bits)):
+            _check_exact_text(x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=66440).flatmap(lambda b: st.integers(-(2**b), 2**b)))
+@example(3**41900)  # 19,992 digits
+@example(-(10**19999) - 1)
+def test_exact_text_of_any_int_up_to_20000_digits(x):
+    _check_exact_text(x)
 
 
 def test_bell_negative_rejected():
