@@ -4,6 +4,9 @@ Both recursions run over "marked" partitions (each block open or
 closed); the open-block count A is the extra DP state that makes a
 layer at n derivable from the layer at n-1.  The A=0 slice of a layer
 is the honest distribution over ordinary set partitions.
+
+One pruned moments run to N is exact for every n <= N, so each (target, k)
+keeps its run for the life of the process and answers every n it covers.
 """
 
 from __future__ import annotations
@@ -118,6 +121,23 @@ def _cells(target: str, n: int, table: bool) -> dict:
     return {(a, b): c for a, row in enumerate(rows) for b, c in unpack(row, size).items()}
 
 
+# (target, kmax) -> the rows M_0..M_kmax of n = 0..N of one run to N.  No
+# lock: entries are immutable and replaced by one dict assignment, so a race
+# only computes a range twice.  The front ends hand out fresh lists.
+_MOMENTS: dict = {}
+
+
+def _moments(target: str, kmax: int, nmax: int) -> tuple:
+    """The power-sum rows of n = 0..N for some N >= nmax, running the DP on a miss."""
+    if nmax < 0 or kmax < 0:
+        raise ValueError("n and kmax must be nonnegative")
+    got = _MOMENTS.get((target, kmax), ())
+    if len(got) <= nmax:
+        got = tuple(tuple(rows[0]) for rows in _layers(target, nmax, False, kmax))
+        _MOMENTS[target, kmax] = got
+    return got
+
+
 # ---------------------------------------------------------------------------
 # front ends: dimension and intertwining exponents
 # ---------------------------------------------------------------------------
@@ -134,12 +154,12 @@ def dim_distribution(n: int) -> dict:
 
 def dim_moments_range(kmax: int, nmax: int) -> list:
     """[M(d^0;n)..M(d^kmax;n)] for every n in 0..nmax, all exact integers."""
-    return [rows[0] for rows in _layers("dim", nmax, False, kmax)]
+    return [list(row) for row in _moments("dim", kmax, nmax)[:nmax + 1]]
 
 
 def dim_moments(kmax: int, n: int) -> list:
     """Exact M(d^k; n) for k = 0..kmax."""
-    return dim_moments_range(kmax, n)[n]
+    return list(_moments("dim", kmax, n)[n])
 
 
 def int_table(n: int) -> dict:
@@ -154,12 +174,12 @@ def int_distribution(n: int) -> dict:
 
 def int_moments_range(kmax: int, nmax: int) -> list:
     """[M(i^0;n)..M(i^kmax;n)] for n = 0..nmax, all exact integers."""
-    return [rows[0] for rows in _layers("int", nmax, False, kmax)]
+    return [list(row) for row in _moments("int", kmax, nmax)[:nmax + 1]]
 
 
 def int_moments(kmax: int, n: int) -> list:
     """Exact M(i^k; n) for k = 0..kmax."""
-    return int_moments_range(kmax, n)[n]
+    return list(_moments("int", kmax, n)[n])
 
 
 def moments_cost(kmax: int, n: int) -> int:

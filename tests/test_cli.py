@@ -770,6 +770,18 @@ _JSON = st.recursive(
     max_leaves=8,
 )
 _POSITION = st.integers(-1, 5) | _JSON
+# constants and exponents written with 4300-4400 digits, around CPython's
+# int-to-str limit; 4300 is the most that parses, and a degree 2 or 16 times
+# such an exponent has more digits than the limit.  All must exit 0 or 1
+_DIGIT_RUN = st.builds(lambda lead, fill, size: lead + fill * (size - 1),
+                       st.sampled_from("123456789"), st.sampled_from("0123456789"),
+                       st.just(4300) | st.integers(4300, 4400))
+_LONG_Q = st.builds(lambda form, digits: form % digits,
+                    st.sampled_from(["%s", "-%s*m", "1/%s", "2^%s", "y1^%s", "(y1*y1)^%s", "(m^16)^%s"]),
+                    _DIGIT_RUN)
+_Q = st.text(alphabet="y12345m()+-*^/ 0", max_size=12) | _LONG_Q | _JSON
+# the second branch is a well-formed one-position pattern, so that its q
+# always reaches the weight parser
 _DOCUMENTS = st.fixed_dictionaries(
     {},
     optional={
@@ -779,9 +791,9 @@ _DOCUMENTS = st.fixed_dictionaries(
         "lasts": st.lists(_POSITION, max_size=3) | _JSON,
         "arcs": st.lists(st.lists(_POSITION, max_size=3), max_size=2) | _JSON,
         "consecutive": st.lists(st.lists(_POSITION, max_size=3), max_size=2) | _JSON,
-        "q": st.text(alphabet="y12345m()+-*^/ 0", max_size=12) | _JSON,
+        "q": _Q,
     },
-)
+) | st.fixed_dictionaries({"length": st.just(1), "blocks": st.just([[1]]), "q": _Q})
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,4 +1,10 @@
+import sys
+import threading
 from math import comb
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from partstats import recursions
 from partstats.exactnum import bell
@@ -10,6 +16,7 @@ from partstats.recursions import (
     dim_table,
     int_distribution,
     int_moments,
+    int_moments_range,
     int_table,
     marked_dimension,
     marked_intertwining,
@@ -144,7 +151,8 @@ def test_table_totals_are_marked_partition_counts():
         assert sum(int_table(n).values()) == total
 
 
-def test_each_front_end_runs_the_engine_once(monkeypatch):
+def _spy_on_layers(monkeypatch) -> list:
+    """The argument tuples of every later ``_layers`` call."""
     calls = []
     layers = recursions._layers
 
@@ -153,7 +161,116 @@ def test_each_front_end_runs_the_engine_once(monkeypatch):
         return layers(*args, **kwargs)
 
     monkeypatch.setattr(recursions, "_layers", spy)
+    return calls
+
+
+def test_each_front_end_runs_the_engine_once(monkeypatch):
+    # an empty moments memo, so that earlier tests cannot answer int_moments
+    monkeypatch.setattr(recursions, "_MOMENTS", {})
+    calls = _spy_on_layers(monkeypatch)
     for run in (lambda: dim_distribution(12), lambda: int_table(9), lambda: int_moments(3, 9)):
         calls.clear()
         run()
         assert len(calls) == 1
+
+
+def _oracle(target, k, n):
+    """M_0..M_k for n' = 0..n from one run of the engine, bypassing the memo."""
+    return [rows[0] for rows in recursions._layers(target, n, False, k)]
+
+
+_FRONT_ENDS = {("dim", False): dim_moments, ("dim", True): dim_moments_range,
+               ("int", False): int_moments, ("int", True): int_moments_range}
+
+
+def _expected(target, whole, k, n):
+    """What ``_FRONT_ENDS[target, whole](k, n)`` must return."""
+    want = _oracle(target, k, n)
+    return want if whole else want[n]
+
+
+def test_moments_memo_reuses_one_run(monkeypatch):
+    monkeypatch.setattr(recursions, "_MOMENTS", {})
+    want = {key: _oracle(*key) for key in (("dim", 2, 12), ("dim", 3, 5), ("int", 2, 5))}
+    calls = _spy_on_layers(monkeypatch)
+
+    def runs(*requests):
+        calls.clear()
+        for front_end, k, n in requests:
+            front_end(k, n)
+        return len(calls)
+
+    assert runs((dim_moments, 2, 9)) == 1
+    assert runs((dim_moments, 2, 9), (dim_moments, 2, 4), (dim_moments_range, 2, 9),
+                (dim_moments_range, 2, 0)) == 0
+    assert runs((dim_moments_range, 2, 12)) == 1
+    assert runs((dim_moments, 2, 12), (dim_moments, 2, 10)) == 0
+    assert runs((dim_moments, 3, 5)) == 1
+    assert runs((int_moments, 2, 5)) == 1
+    assert runs((dim_moments, 3, 5), (int_moments_range, 2, 5)) == 0
+
+    # results are the caller's to change
+    row, rows = dim_moments(2, 9), dim_moments_range(2, 9)
+    row[0] = -1
+    row.append(7)
+    rows[3][1] = -1
+    rows[0].clear()
+    rows.pop()
+    assert dim_moments(2, 9) == want["dim", 2, 12][9]
+    assert dim_moments_range(2, 9) == want["dim", 2, 12][:10]
+    assert dim_moments(3, 5) == want["dim", 3, 5][5] and int_moments(2, 5) == want["int", 2, 5][5]
+
+    # a warm memo still refuses negative sizes
+    for call in (lambda: dim_moments(2, -1), lambda: dim_moments_range(2, -1),
+                 lambda: dim_moments_range(-1, 3), lambda: int_moments(-1, 3)):
+        with pytest.raises(ValueError):
+            call()
+    assert runs() == 0
+
+
+_REQUESTS = st.lists(
+    st.tuples(st.sampled_from(["dim", "int"]), st.booleans(), st.integers(0, 4), st.integers(0, 40)),
+    min_size=1, max_size=8,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_REQUESTS)
+def test_moments_memo_matches_the_engine(requests):
+    # each sequence runs forwards and then backwards, so that every n both
+    # rises past what the memo holds and falls within it
+    with mock.patch.object(recursions, "_MOMENTS", {}):
+        for target, whole, k, n in requests + requests[::-1]:
+            assert _FRONT_ENDS[target, whole](k, n) == _expected(target, whole, k, n)
+
+
+def test_moments_memo_concurrent_calls_agree():
+    # four threads released together on an empty memo and switched often,
+    # each with its own order of targets, orders and rising and falling n
+    requests = [(t, whole, k, n) for n in (3, 30, 8, 40, 1, 25) for k in (0, 2, 4)
+                for t in ("dim", "int") for whole in (False, True)]
+    orders = [requests, requests[::-1], requests[1::2] + requests[::2], requests[::2] + requests[1::2]]
+    want = {request: _expected(*request) for request in requests}
+    barrier = threading.Barrier(4)
+    results = [None] * 4
+
+    def work(t):
+        barrier.wait(timeout=30)
+        results[t] = [(request, _FRONT_ENDS[request[:2]](*request[2:])) for request in orders[t]]
+
+    threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with mock.patch.object(recursions, "_MOMENTS", {}):
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    for t in range(4):
+        assert results[t] is not None and len(results[t]) == len(requests)
+        for request, got in results[t]:
+            assert got == want[request], request
