@@ -121,8 +121,11 @@ def _check_sizes(args) -> None:
 
 def _csv(header: str, rows) -> str:
     """``header`` and one ``a,b`` line per pair: ``a`` a small int and ``b``
-    text, the ``exact_text`` of a computed number."""
-    return header + "\n" + "".join("%d,%s\n" % row for row in rows)
+    text, the ``exact_text`` of a computed number, copied once by one join."""
+    parts = [header, "\n"]
+    for a, b in rows:
+        parts += ("%d," % a, b, "\n")
+    return "".join(parts)
 
 
 # ---------------------------------------------------------------------------

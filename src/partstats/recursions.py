@@ -7,6 +7,8 @@ is the honest distribution over ordinary set partitions.
 
 One pruned moments run to N is exact for every n <= N, so each (target, k)
 keeps its run for the life of the process and answers every n it covers.
+Each distribution is kept for the process too, keyed by its own n: the
+A=0 rows of every layer would grow about as n^4.
 """
 
 from __future__ import annotations
@@ -121,6 +123,21 @@ def _cells(target: str, n: int, table: bool) -> dict:
     return {(a, b): c for a, row in enumerate(rows) for b, c in unpack(row, size).items()}
 
 
+# (target, n) -> the A = 0 row of layer n as (value, count) pairs.  Keyed by
+# n alone: keeping every layer's row would grow about as n^4.  No lock:
+# entries are immutable and set by one dict assignment, so a race only
+# computes an answer twice.  The front ends hand out fresh dicts.
+_DISTS: dict = {}
+
+
+def _distribution(target: str, n: int) -> dict:
+    """Counts of ordinary partitions of [n] by weight, running the DP on a miss."""
+    got = _DISTS.get((target, n))
+    if got is None:
+        got = _DISTS[target, n] = tuple((b, c) for (_, b), c in _cells(target, n, False).items())
+    return dict(got)
+
+
 # (target, kmax) -> the rows M_0..M_kmax of n = 0..N of one run to N.  No
 # lock: entries are immutable and replaced by one dict assignment, so a race
 # only computes a range twice.  The front ends hand out fresh lists.
@@ -149,7 +166,7 @@ def dim_table(n: int) -> dict:
 
 def dim_distribution(n: int) -> dict:
     """Counts of ordinary partitions of [n] by dimension exponent."""
-    return {b: c for (_, b), c in _cells("dim", n, False).items()}
+    return _distribution("dim", n)
 
 
 def dim_moments_range(kmax: int, nmax: int) -> list:
@@ -169,7 +186,7 @@ def int_table(n: int) -> dict:
 
 def int_distribution(n: int) -> dict:
     """Counts of ordinary partitions of [n] by number of 2-crossings."""
-    return {b: c for (_, b), c in _cells("int", n, False).items()}
+    return _distribution("int", n)
 
 
 def int_moments_range(kmax: int, nmax: int) -> list:

@@ -9,7 +9,7 @@ import tempfile
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import partstats
 from partstats import asymptotics, cli, exactnum, recursions, shifted_bell, statistics
@@ -412,6 +412,27 @@ def test_bell_prints_numbers_beyond_the_int_str_limit(capsys, monkeypatch, tmp_p
         assert sys.get_int_max_str_digits() == limit
         with pytest.raises(ValueError):
             int("9" * 5000)
+
+
+# texts of 5000 to 6000 characters, repeated from a short seed
+_LONG_TEXT = st.builds(lambda seed, k: (seed * k)[:k], st.text("0123456789-", min_size=1, max_size=9),
+                       st.integers(5000, 6000))
+_CSV_ROWS = st.lists(st.tuples(st.integers(-10 ** 6, 10 ** 20), st.text(max_size=12) | _LONG_TEXT),
+                     max_size=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.text(max_size=12), _CSV_ROWS)
+@example("value,count", [])
+@example("n,bell", [(0, "1")])
+@example("k,moment", [(3, "7" * 5001)])
+def test_csv_matches_the_row_format(header, rows):
+    # byte for byte what one "%d,%s\n" line per row gave, for a list of rows
+    # and for the one-shot iterator that bell passes
+    want = header + "\n" + "".join("%d,%s\n" % row for row in rows)
+    assert cli._csv(header, rows) == want
+    assert cli._csv(header, iter(rows)) == want
+    assert cli._csv(header, map(tuple, rows)) == want
 
 
 # every position weighs (10^299)^15 = 10^4485, which has 4486 digits

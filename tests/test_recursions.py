@@ -165,7 +165,9 @@ def _spy_on_layers(monkeypatch) -> list:
 
 
 def test_each_front_end_runs_the_engine_once(monkeypatch):
-    # an empty moments memo, so that earlier tests cannot answer int_moments
+    # empty memos, so that earlier tests cannot answer dim_distribution or
+    # int_moments
+    monkeypatch.setattr(recursions, "_DISTS", {})
     monkeypatch.setattr(recursions, "_MOMENTS", {})
     calls = _spy_on_layers(monkeypatch)
     for run in (lambda: dim_distribution(12), lambda: int_table(9), lambda: int_moments(3, 9)):
@@ -244,25 +246,21 @@ def test_moments_memo_matches_the_engine(requests):
             assert _FRONT_ENDS[target, whole](k, n) == _expected(target, whole, k, n)
 
 
-def test_moments_memo_concurrent_calls_agree():
-    # four threads released together on an empty memo and switched often,
-    # each with its own order of targets, orders and rising and falling n
-    requests = [(t, whole, k, n) for n in (3, 30, 8, 40, 1, 25) for k in (0, 2, 4)
-                for t in ("dim", "int") for whole in (False, True)]
-    orders = [requests, requests[::-1], requests[1::2] + requests[::2], requests[::2] + requests[1::2]]
-    want = {request: _expected(*request) for request in requests}
+def _in_four_threads(memo, orders, call, want):
+    """Run ``call`` on each request of ``orders[t]`` in thread t, on an empty
+    ``memo``, and check every result against ``want[request]``."""
     barrier = threading.Barrier(4)
     results = [None] * 4
 
     def work(t):
         barrier.wait(timeout=30)
-        results[t] = [(request, _FRONT_ENDS[request[:2]](*request[2:])) for request in orders[t]]
+        results[t] = [(request, call(request)) for request in orders[t]]
 
     threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        with mock.patch.object(recursions, "_MOMENTS", {}):
+        with mock.patch.object(recursions, memo, {}):
             for th in threads:
                 th.start()
             for th in threads:
@@ -271,6 +269,76 @@ def test_moments_memo_concurrent_calls_agree():
         sys.setswitchinterval(interval)
     assert not any(th.is_alive() for th in threads)
     for t in range(4):
-        assert results[t] is not None and len(results[t]) == len(requests)
+        assert results[t] is not None and len(results[t]) == len(orders[t])
         for request, got in results[t]:
             assert got == want[request], request
+
+
+def test_moments_memo_concurrent_calls_agree():
+    # four threads released together on an empty memo and switched often,
+    # each with its own order of targets, orders and rising and falling n
+    requests = [(t, whole, k, n) for n in (3, 30, 8, 40, 1, 25) for k in (0, 2, 4)
+                for t in ("dim", "int") for whole in (False, True)]
+    orders = [requests, requests[::-1], requests[1::2] + requests[::2], requests[::2] + requests[1::2]]
+    want = {request: _expected(*request) for request in requests}
+    _in_four_threads("_MOMENTS", orders, lambda r: _FRONT_ENDS[r[:2]](*r[2:]), want)
+
+
+def _dist_oracle(target, n):
+    """The distribution of layer n from one run of the engine, bypassing the memo."""
+    return {b: c for (_, b), c in recursions._cells(target, n, False).items()}
+
+
+_DISTRIBUTIONS = {"dim": dim_distribution, "int": int_distribution}
+
+
+def test_distribution_memo_reuses_one_answer(monkeypatch):
+    monkeypatch.setattr(recursions, "_DISTS", {})
+    want = {key: _dist_oracle(*key) for key in (("dim", 12), ("dim", 9), ("int", 9))}
+    calls = _spy_on_layers(monkeypatch)
+
+    def runs(*requests):
+        calls.clear()
+        for target, n in requests:
+            assert _DISTRIBUTIONS[target](n) == want[target, n]
+        return len(calls)
+
+    assert runs(("dim", 12)) == 1
+    assert runs(("dim", 12), ("dim", 12)) == 0
+    # one answer per n: a smaller n is a new request
+    assert runs(("dim", 9)) == 1
+    assert runs(("int", 9)) == 1
+    assert runs(("int", 9), ("dim", 9), ("dim", 12)) == 0
+
+    # results are the caller's to change
+    got = dim_distribution(12)
+    got[0] = -1
+    got[10 ** 6] = 7
+    del got[max(got)]
+    int_distribution(9).clear()
+    assert runs(("dim", 12), ("int", 9)) == 0
+
+    # a warm memo still refuses negative sizes
+    for call in (lambda: dim_distribution(-1), lambda: int_distribution(-1)):
+        with pytest.raises(ValueError):
+            call()
+    assert runs() == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["dim", "int"]), st.integers(0, 30)),
+                min_size=1, max_size=8))
+def test_distribution_memo_matches_the_engine(requests):
+    # each sequence runs twice, so that every request is asked both cold and warm
+    with mock.patch.object(recursions, "_DISTS", {}):
+        for target, n in requests + requests[::-1]:
+            assert _DISTRIBUTIONS[target](n) == _dist_oracle(target, n)
+
+
+def test_distribution_memo_concurrent_calls_agree():
+    # four threads released together on an empty memo and switched often,
+    # each with its own order of targets and sizes, repeats included
+    requests = [(t, n) for n in (3, 30, 8, 25, 1, 30, 8) for t in ("dim", "int")]
+    orders = [requests, requests[::-1], requests[1::2] + requests[::2], requests[::2] + requests[1::2]]
+    want = {request: _dist_oracle(*request) for request in requests}
+    _in_four_threads("_DISTS", orders, lambda r: _DISTRIBUTIONS[r[0]](r[1]), want)
