@@ -729,12 +729,15 @@ def _eval_document(text: str):
         {"length": 10 ** 12, "blocks": [[1]]},
         {"length": 1, "blocks": [[1]], "q": "y1*-3^3^2"},
         {"length": 1200, "blocks": [list(range(1, 1201))]},
+        {"length": 1, "blocks": [[1]], "q": "y1^" + "9" * 4300},
+        {"length": 1, "blocks": [[1]], "q": "(y1*y1)^" + "9" * 4300},
     ],
 )
 def test_malformed_documents_exit_one(doc):
     code, err = _eval_document(json.dumps(doc))
     assert code == 1, err
     assert err.startswith("error: invalid pattern:") and len(err.strip().splitlines()) == 1
+    assert len(err.encode()) < 200
 
 
 def test_weight_degree_cap_is_named():
@@ -743,9 +746,12 @@ def test_weight_degree_cap_is_named():
     doc = {"length": 1, "blocks": [[1]], "q": "y1^%d" % MAX_WEIGHT_DEGREE}
     assert _eval_document(json.dumps(doc))[0] == 0
     # the degree of (y1*y1)^(10^4300 - 1) has 4301 digits, one past the
-    # default int-to-str limit; it is named in full
-    code, err = _eval_document(json.dumps({"length": 1, "blocks": [[1]], "q": "(y1*y1)^" + "9" * 4300}))
-    assert code == 1 and err.startswith("error: invalid pattern: weight degree 1%s8 exceeds" % ("9" * 4299))
+    # default int-to-str limit; a degree of more than 20 digits is named by its size
+    for q, named in (("(y1*y1)^" + "9" * 4300, "about 10^4300.3"), ("y1^" + "9" * 4300, "about 10^4300.0"),
+                     ("y1^1" + "0" * 20, "about 10^20.0"), ("y1^" + "9" * 20, "9" * 20)):
+        code, err = _eval_document(json.dumps({"length": 1, "blocks": [[1]], "q": q}))
+        assert code == 1 and err == ("error: invalid pattern: weight degree %s exceeds "
+                                     "MAX_WEIGHT_DEGREE = %d\n" % (named, MAX_WEIGHT_DEGREE))
 
 
 def test_weight_monomial_cap_is_named():

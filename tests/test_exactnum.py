@@ -75,7 +75,7 @@ def test_mod_table_resumes_from_any_frontier(nmax):
             table.extend(k)
             before = table.max_index
             assert table.mod_table(nmax, m) == [bell(n) % m for n in range(nmax + 1)], (k, m)
-            assert table.max_index == before  # never grows the exact table
+            assert table.max_index == before  # a first call never grows
 
 
 def test_mod_table_reads_a_consistent_snapshot():
@@ -106,6 +106,104 @@ def test_mod_table_reads_a_consistent_snapshot():
     finally:
         sys.setswitchinterval(interval)
     assert results == [expected] * len(results)
+
+
+def _at(k):
+    table = BellTable()
+    table.extend(k)
+    return table
+
+
+def _calls_until_growth(table, nmax, m, calls=60):
+    """The frontier after each of up to ``calls`` calls of ``mod_table(nmax, m)``,
+    stopping at the first that grew it; every result must be exact."""
+    expected, frontiers = [bell(n) % m for n in range(nmax + 1)], []
+    while len(frontiers) < calls and (not frontiers or frontiers[-1] == frontiers[0]):
+        assert table.mod_table(nmax, m) == expected
+        frontiers.append(table.max_index)
+    return frontiers
+
+
+def _check_table(table):
+    # one consistent frontier k: B_0..B_k, and the triangle row ending in B_k
+    k = table.max_index
+    assert table._values == [bell(n) for n in range(k + 1)]
+    assert len(table._row) == k and table._row[-1] == bell(k)
+
+
+@pytest.mark.parametrize("m", [257, 10**6 + 3, 10**400 + 1], ids=["257", "10^6+3", "10^400+1"])
+def test_mod_table_grows_once_repeated_calls_have_paid(m):
+    table = _at(300)
+    frontiers = _calls_until_growth(table, 320, m)
+    assert len(frontiers) > 1 and frontiers == [300] * (len(frontiers) - 1) + [320]
+    _check_table(table)
+    assert _calls_until_growth(table, 320, m, 5) == [320] * 5  # then it only reads
+    assert table.mod_table(330, m) == [bell(n) % m for n in range(331)]
+    assert table.max_index == 320  # a first call at the new frontier
+
+
+@pytest.mark.parametrize("k, nmax", [(1, 150), (1, 400), (300, 320), (300, 600)])
+def test_mod_table_buys_only_after_paying_the_real_growth(k, nmax):
+    # the rent paid before the growth covers the digit additions that
+    # growing B_(k+1)..B_nmax takes, far from the frontier too
+    table = _at(k)
+    growth = sum(i * -(-bell(i).bit_length() // 30) for i in range(k + 1, nmax + 1))
+    paid = []
+    while table.max_index == k and len(paid) < 100:
+        paid.append(table._rent[1] if table._rent[0] == k else 0)
+        assert table.mod_table(nmax, 257) == [bell(n) % 257 for n in range(nmax + 1)]
+    assert table.max_index == nmax and len(paid) > 1 and paid[-1] >= growth
+
+
+def test_mod_table_count_restarts_when_the_frontier_moves():
+    m = 10**6 + 3
+    calls = len(_calls_until_growth(_at(300), 320, m))
+    table = _at(300)
+    _calls_until_growth(table, 320, m, calls - 1)  # one call short of the growth
+    assert table.max_index == 300
+    table.extend(301)  # another caller moves the frontier
+    frontiers = _calls_until_growth(table, 320, m)
+    assert len(frontiers) > 1 and frontiers[0] == 301 and frontiers[-1] == 320
+    _check_table(table)
+
+
+def test_mod_table_buy_races_an_extend():
+    # two readers call past frontier 300 until one of them buys, while a
+    # third thread moves the frontier row by row; every result must be
+    # exact and the table must end at one consistent frontier
+    moduli = (257, 10**6 + 3)
+    expected = {m: [bell(n) % m for n in range(321)] for m in moduli}
+    results = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(6):
+            table = _at(300)
+            barrier = threading.Barrier(3)
+
+            def read(m):
+                barrier.wait(timeout=30)
+                for _ in range(8):
+                    results.append((m, table.mod_table(320, m)))
+
+            def grow():
+                barrier.wait(timeout=30)
+                for n in range(301, 311):
+                    table.extend(n)
+
+            threads = [threading.Thread(target=read, args=(m,)) for m in moduli]
+            threads.append(threading.Thread(target=grow))
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+            assert not any(th.is_alive() for th in threads)
+            assert table.max_index in (310, 320)
+            _check_table(table)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(results) == 6 * 16
+    assert all(values == expected[m] for m, values in results)
 
 
 def test_text_formats_each_value_once():

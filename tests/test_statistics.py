@@ -128,6 +128,25 @@ def test_weight_polynomial_power_is_repeated_product():
         product = product * q
 
 
+@st.composite
+def narrow_weights(draw):
+    """Up to 3 terms in y1..yk and m, k <= 3, with exponents <= 2."""
+    k = draw(st.integers(min_value=1, max_value=3))
+    monomials = st.lists(st.integers(min_value=0, max_value=2), min_size=k + 1, max_size=k + 1)
+    coefficients = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    terms = draw(st.dictionaries(monomials.map(tuple), coefficients, max_size=3))
+    return WeightPolynomial(k, terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(narrow_weights(), st.integers(min_value=0, max_value=16))
+def test_weight_polynomial_power_by_squaring_is_exact(q, e):
+    product = WeightPolynomial.constant(q.k, 1)
+    for _ in range(e):
+        product = product * q
+    assert (q ** e).terms == product.terms
+
+
 def test_weight_polynomial_rationals():
     q = WeightPolynomial.constant(1, Fraction(1, 3))
     y = WeightPolynomial.variable(1, 1)
