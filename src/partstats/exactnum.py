@@ -39,9 +39,12 @@ def exact_text(x: int | Fraction) -> str:
 # mod_table counts work in digit additions, one 30-bit digit of a big-int sum:
 # 1.34 ns in growing B_3002..B_3040 (CPython 3.11.7, 2-vCPU x86-64).  Row 3002
 # took 8.5 ns a digit to reduce mod 999983 and the residue rows after it 39 ns
-# a cell; a modulus of more digits only makes the rent dearer than counted.
-_REDUCE_COST = 7  # digit additions per digit reduced
-_CELL_COST = 27  # digit additions per residue-triangle cell
+# a cell.  Each 30-bit digit of the modulus past its first adds about 2 digit
+# additions to both: per digit reduced and per cell, 18 and 45 at 2 digits,
+# 29 and 51 at 10, 48 and 67 at 20, 78 and 102 at 45 (M = 10^400 + 1).
+_REDUCE_COST = 7  # digit additions per digit reduced, for a one-digit modulus
+_CELL_COST = 27  # digit additions per residue-triangle cell, likewise
+_WIDE_COST = 2  # digit additions added to each per further digit of the modulus
 
 
 class BellTable:
@@ -91,9 +94,10 @@ class BellTable:
         ``accumulate`` and no division.
 
         Rent or buy: the table counts the residue work of calls past its
-        frontier k.  Once that count reaches an upper bound on the work of
-        growing to nmax, a call grows the table instead, so a first call at
-        a frontier never grows it.  A move of the frontier restarts the count.
+        frontier k, dearer for a modulus of more 30-bit digits.  Once that
+        count reaches an upper bound on the work of growing to nmax, a call
+        grows the table instead, so a first call at a frontier never grows
+        it.  A move of the frontier restarts the count.
         """
         if nmax < 0:
             raise ValueError("nmax must be nonnegative")
@@ -108,8 +112,9 @@ class BellTable:
                 if paid >= (nmax - k) * nmax * top:
                     self._grow(nmax)
                 else:
-                    self._rent = (k, paid + _REDUCE_COST * k * (bits // 30 + 1)
-                                  + _CELL_COST * (nmax - k) * (nmax + k + 1) // 2)
+                    wide = _WIDE_COST * ((m.bit_length() - 1) // 30)
+                    self._rent = (k, paid + (_REDUCE_COST + wide) * k * (bits // 30 + 1)
+                                  + (_CELL_COST + wide) * (nmax - k) * (nmax + k + 1) // 2)
             row, held = self._row, self._values[: nmax + 1]
         values = [b % m for b in held]
         if len(values) <= nmax:  # row[-1] is B_k, the last value held

@@ -52,6 +52,17 @@ def test_bell_mod_same_bytes_cold_and_warm(capsys):
     assert warm.encode() == cold.stdout
 
 
+def test_bell_mod_prints_residues_of_a_4300_digit_modulus(capsys):
+    # the widest modulus int() parses under the digit limit; past N = 1980
+    # the residues are B_n reduced to 4299 or 4300 digits
+    m = 10**4299 + 7
+    code, out, err = invoke(capsys, "bell", "--max", "1990", "--mod", str(m), "--force")
+    assert code == 0 and err == ""
+    assert out == "n,bell\n" + "".join(
+        "%d,%s\n" % (n, exactnum.exact_text(bell(n) % m)) for n in range(1991))
+    assert max(map(len, out.splitlines())) >= len("1990,") + 4299
+
+
 def test_dist_exact_and_brute_are_byte_identical(capsys):
     for target in ("dim", "int"):
         for n in range(11):
@@ -125,7 +136,7 @@ def test_fit_target_guard_and_force(capsys, monkeypatch):
     # the benchmark's int k = 3 (55 unknowns) passes; the unknowns are counted
     # without building a profile
     assert shifted_bell.target_unknowns("int", 3) <= cli.FIT_GUARD
-    for k, unknowns in (("5", 136), ("100000", 45000450001)):
+    for k, unknowns in (("10", 496), ("100000", 45000450001)):
         start = time.perf_counter()
         code, out, err = invoke(capsys, "fit", "--target", "int", "--k", k)
         assert time.perf_counter() - start < 1.0
@@ -242,7 +253,9 @@ def test_aggregate_cost_guard_and_force(tmp_path, capsys, monkeypatch):
 
 
 _HUGE = "1" + "0" * 400
-_FIT_REFUSAL = "exceeds the fit guard (91; %s); pass --force to override\n" % cli.FIT_COST
+_FIT_REFUSAL = "exceeds the fit guard (406; %s); pass --force to override\n" % cli.FIT_COST
+_PATTERN_FIT_REFUSAL = ("exceeds the fit guard (91; %s); pass --force to override\n"
+                        % cli.PATTERN_FIT_COST)
 
 
 @pytest.mark.parametrize(
@@ -263,10 +276,10 @@ _FIT_REFUSAL = "exceeds the fit guard (91; %s); pass --force to override\n" % cl
          "(30000000; %s); pass --force to override\n" % cli.EVAL_COST),
         (["aggregate", "--pattern", "ONE", "--n", "100000"], "estimated cost about 10^10.3 exceeds "
          "the aggregate cost guard (20000000; %s); pass --force to override\n" % cli.AGGREGATE_COST),
-        (["fit", "--target", "int", "--k", "5"], "unknowns=136 " + _FIT_REFUSAL),
-        (["fit", "--pattern", "ONE", "--profile-degree", "12"], "unknowns=104 " + _FIT_REFUSAL),
+        (["fit", "--target", "int", "--k", "10"], "unknowns=496 " + _FIT_REFUSAL),
+        (["fit", "--pattern", "ONE", "--profile-degree", "12"], "unknowns=104 " + _PATTERN_FIT_REFUSAL),
         (["fit", "--pattern", "ONE", "--profile-degree", "9" * 4000],
-         "unknowns=about 10^7999.7 " + _FIT_REFUSAL),
+         "unknowns=about 10^7999.7 " + _PATTERN_FIT_REFUSAL),
         (["asym", "--target", "dim", "--n", "4001"], "n=4001 exceeds the asym guard "
          "(4000; %s); pass --force to override\n" % cli.ASYM_COST),
         (["bell", "--max", "4001"], "max=4001 exceeds the bell guard "
@@ -518,7 +531,8 @@ def test_fit_pattern_profile_guard_and_force(tmp_path, capsys, monkeypatch):
         code, out, err = invoke(capsys, *fit, option, value)
         assert time.perf_counter() - start < 1.0
         assert code == 1 and out == ""
-        assert err.startswith("error: unknowns=%s exceeds the fit guard (%d;" % (shown, cli.FIT_GUARD))
+        assert err.startswith("error: unknowns=%s exceeds the fit guard (%d;"
+                              % (shown, cli.PATTERN_FIT_GUARD))
         assert err.endswith("pass --force to override\n")
     for option in ("--profile-degree", "--profile-k"):
         start = time.perf_counter()
@@ -526,7 +540,7 @@ def test_fit_pattern_profile_guard_and_force(tmp_path, capsys, monkeypatch):
         assert time.perf_counter() - start < 1.0
         assert code == 1 and out == ""
         assert err == "error: %s exceeds the largest size a list can index (%d)\n" % (option, sys.maxsize)
-    monkeypatch.setattr(cli, "FIT_GUARD", 3)
+    monkeypatch.setattr(cli, "PATTERN_FIT_GUARD", 3)
     small = fit + ("--profile-degree", "1", "--profile-k", "1")  # 5 unknowns
     assert invoke(capsys, *small)[0] == 1
     code, out, _ = invoke(capsys, *small, "--force")

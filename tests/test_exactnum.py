@@ -142,6 +142,15 @@ def test_mod_table_grows_once_repeated_calls_have_paid(m):
     assert table.max_index == 320  # a first call at the new frontier
 
 
+def test_mod_table_prices_a_wide_modulus_by_its_digits():
+    # residues mod 10^400 + 1 (45 digits) cost several times those mod 257,
+    # so repeated calls pay for the same growth sooner
+    narrow = _calls_until_growth(_at(300), 320, 257)
+    wide = _calls_until_growth(_at(300), 320, 10**400 + 1)
+    assert narrow[-1] == wide[-1] == 320
+    assert 1 < len(wide) < len(narrow)
+
+
 @pytest.mark.parametrize("k, nmax", [(1, 150), (1, 400), (300, 320), (300, 600)])
 def test_mod_table_buys_only_after_paying_the_real_growth(k, nmax):
     # the rent paid before the growth covers the digit additions that

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from partstats import shifted_bell
 from partstats.exactnum import bell
 from partstats.recursions import dim_moments_range, int_moments_range
 from partstats.shifted_bell import (
@@ -243,3 +244,155 @@ def test_fit_matches_sympy_reference(seed):
     else:
         with pytest.raises(FitError, match=expected):
             fit(samples, profile)
+
+
+def _int_rows(samples, profile):
+    """fit's integer rows ``n^e * B(n+j) * den(v) | num(v)``."""
+    unknowns = [(j, e) for j, b in zip(profile.shifts, profile.degree_bounds) for e in range(b + 1)]
+    return [[n ** e * bell(n + j) * v.denominator for j, e in unknowns] + [v.numerator]
+            for n, v in samples]
+
+
+def _target_samples(target, k):
+    profile = (profile_dim if target == "dim" else profile_int)(k)
+    pts = default_sample_points(profile)
+    moments = (dim_moments_range if target == "dim" else int_moments_range)(k, max(pts))
+    return [(n, Fraction(moments[n][k])) for n in pts], profile
+
+
+def _outcome(samples, profile):
+    try:
+        return "ok", fit(samples, profile).canonical_text()
+    except FitError as e:
+        return "error", str(e)
+
+
+def _bareiss_outcome(samples, profile):
+    m = profile.unknowns
+    try:
+        solution = shifted_bell._bareiss(samples, _int_rows(samples, profile), len(samples) - HOLDOUT, m)
+    except FitError as e:
+        return "error", str(e)
+    unknowns = [(j, e) for j, b in zip(profile.shifts, profile.degree_bounds) for e in range(b + 1)]
+    mapping = {}
+    for (j, _), c in zip(unknowns, solution):
+        mapping.setdefault(j, []).append(c)
+    return "ok", ShiftedBellPolynomial.from_dict(mapping).canonical_text()
+
+
+def test_primes_descend_through_every_prime_below_2_30():
+    sympy = pytest.importorskip("sympy")
+    expected, p = [], 1 << 30
+    for _ in range(40):
+        p = sympy.prevprime(p)
+        expected.append(p)
+    primes = shifted_bell._primes()
+    assert [next(primes) for _ in range(40)] == expected
+
+
+def test_modular_fit_survives_a_prime_that_divides_a_pivot(monkeypatch):
+    # int k = 2 (28 unknowns): 13 divides the 6th leading minor of the
+    # training rows, the pivot Bareiss meets there without row exchanges, but
+    # not their determinant, so another row takes that pivot mod 13 and the
+    # modular path still certifies the answer; 449 divides the determinant,
+    # so mod 449 a column has no pivot and Bareiss solves the system
+    samples, profile = _target_samples("int", 2)
+    m = profile.unknowns
+    assert m >= shifted_bell.MODULAR_MIN_UNKNOWNS
+    a = [row[:m] for row in _int_rows(samples, profile)[:m]]
+    prev, minors = 1, []
+    for r in range(m):  # Bareiss without row exchanges: pivot r is the leading minor
+        minors.append(a[r][r])
+        for i in range(r + 1, m):
+            a[i] = [(a[r][r] * x - a[i][r] * y) // prev for x, y in zip(a[i], a[r])]
+        prev = a[r][r]
+    assert minors[5] % 13 == 0 and minors[-1] % 13 and minors[-1] % 449 == 0
+    expected = _bareiss_outcome(samples, profile)
+    real = shifted_bell._primes
+    solved = []
+    monkeypatch.setattr(shifted_bell, "_bareiss",
+                        lambda *args, _f=shifted_bell._bareiss: solved.append(1) or _f(*args))
+    for first, by_bareiss in ((13, False), (449, True)):
+        def primes(first=first):
+            yield first
+            yield from real()
+
+        monkeypatch.setattr(shifted_bell, "_primes", primes)
+        solved.clear()
+        assert _outcome(samples, profile) == expected
+        assert bool(solved) == by_bareiss
+
+
+def test_a_held_mismatch_goes_to_bareiss_after_one_prime(monkeypatch):
+    samples, profile = _target_samples("int", 2)
+    n, v = samples[-1]
+    samples[-1] = (n, v + 1)
+    real, tried = shifted_bell._primes, []
+
+    def primes():
+        for p in real():
+            tried.append(p)
+            yield p
+
+    monkeypatch.setattr(shifted_bell, "_primes", primes)
+    with pytest.raises(FitError, match="holdout mismatch at n=%d$" % n):
+        fit(samples, profile)
+    assert len(tried) == 1
+
+
+def test_singular_training_rows_go_to_bareiss(monkeypatch):
+    # profile_generic(1, 0) at its default points: the training rows at
+    # n = 1, 2, 3 have determinant 0, so held rows must supply a pivot
+    profile = profile_generic(1, 0)
+    pts = default_sample_points(profile)
+    assert len(pts) == profile.unknowns + HOLDOUT
+    monkeypatch.setattr(shifted_bell, "MODULAR_MIN_UNKNOWNS", 1)
+    truth = ShiftedBellPolynomial.from_dict({0: [Fraction(1, 3), -2], 1: [5]})
+    for values in ([truth.evaluate(n) for n in pts], [Fraction(2) ** n for n in pts]):
+        samples = list(zip(pts, values))
+        assert _outcome(samples, profile) == _bareiss_outcome(samples, profile)
+
+
+def test_target_fits_reproduce_the_moments_to_n_120(monkeypatch):
+    solved = []  # the unknowns of each fit Bareiss solves
+    monkeypatch.setattr(shifted_bell, "_bareiss",
+                        lambda *args, _f=shifted_bell._bareiss: solved.append(args[3]) or _f(*args))
+    for target, top in (("int", 5), ("dim", 8)):
+        exact = (dim_moments_range if target == "dim" else int_moments_range)(top, 120)
+        for k in range(1, top + 1):
+            samples, profile = _target_samples(target, k)
+            fitted = fit(samples, profile)
+            for n in range(max(1, -profile.shifts[0]), 121):
+                assert fitted.evaluate(n) == exact[n][k], (target, k, n)
+    # only dim k = 1, 2 and int k = 1 lie below the crossover
+    assert solved == [10, 4, 10]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 6))
+def test_modular_path_matches_bareiss(seed):
+    # profiles of 2 to 25 unknowns, all solved mod p first; numerators and
+    # denominators up to 10^12, which one prime's reconstruction can get wrong;
+    # default, shuffled and duplicated points; perturbed values; and truths
+    # of higher degree than the profile allows
+    rng = random.Random(seed)
+    shifts = sorted(rng.sample(range(-2, 5), rng.randint(2, 5)))
+    profile = FitProfile(tuple(shifts), tuple(rng.randint(0, 4) for _ in shifts))
+    extra = rng.random() < 0.25
+    top = rng.choice([99, 10**12])
+    truth = ShiftedBellPolynomial.from_dict({
+        j: [Fraction(rng.randint(-top, top), rng.randint(1, top)) for _ in range(b + extra + 1)]
+        for j, b in zip(profile.shifts, profile.degree_bounds)
+    })
+    pts = default_sample_points(profile)
+    ns = [pts, rng.sample(pts, len(pts)), pts + [rng.choice(pts)], sorted(pts + pts[:3])][rng.randrange(4)]
+    samples = [(n, truth.evaluate(n)) for n in ns]
+    if rng.random() < 0.3:
+        i = rng.randrange(len(samples))
+        samples[i] = (samples[i][0], samples[i][1] + Fraction(1, rng.randint(1, 3)))
+    old = shifted_bell.MODULAR_MIN_UNKNOWNS
+    shifted_bell.MODULAR_MIN_UNKNOWNS = 1
+    try:
+        assert _outcome(samples, profile) == _bareiss_outcome(samples, profile)
+    finally:
+        shifted_bell.MODULAR_MIN_UNKNOWNS = old
