@@ -35,14 +35,12 @@ AGGREGATE_COST = ("at the bound crossings_k(2)*nestings (n=120) took 2.8 s, "
 MOMENTS_GUARD = 3 * 10**10
 MOMENTS_COST = ("at the bound dim n=3100 k=0 took 15 s, dim n=0 k=773 9 s, "
                 "int n=1955 k=1 14 s and 24 MiB")
-# a moment profile always represents its moments, so `fit --target` is solved
-# mod primes (int k <= 9, dim k <= 17 pass; cold runs, moments included)
+# bound on the unknowns of the `fit --target` and `fit --pattern` profiles
+# (int k <= 9, dim k <= 17 pass); measured cold, moments or aggregate
+# included, on CPython 3.11.7, 2 vCPU
 FIT_GUARD = 406
-FIT_COST = "int k=9 (406 unknowns) took 4.7 s, dim k=17 (396) 11.8 s, dim k=18 (442) 14.5 s"
-# a `fit --pattern` profile may not represent the aggregate, and exact
-# elimination (Bareiss) decides that case, at any size the guard lets through
-PATTERN_FIT_GUARD = 91
-PATTERN_FIT_COST = "exact elimination of a failing fit took 9.9 s at 91 unknowns, 149 s at 136"
+FIT_COST = ("int k=9 (406 unknowns) took 4.5 s, dim k=17 (396) 12.7 s, dim k=18 (442) 15.4 s, "
+            "a failing pattern fit (406) 1.0 s")
 # exact `bell --max N` shares the asym bound and text: both grow B_0..B_N
 # (bell --max 3000 took 5.3 s, --max 4000 12.7 s)
 ASYM_GUARD = 4000
@@ -234,7 +232,7 @@ def _cmd_fit(args) -> None:
             unknowns = shifted_bell.generic_unknowns(deg, pk)
         except ValueError as e:
             raise CliError("invalid profile: %s" % e)
-        _guard(unknowns, args.force, PATTERN_FIT_GUARD, "fit guard", PATTERN_FIT_COST, "unknowns")
+        _guard(unknowns, args.force, FIT_GUARD, "fit guard", FIT_COST, "unknowns")
         profile = shifted_bell.profile_generic(deg, pk)
         points = shifted_bell.default_sample_points(profile)
         _guard(statistics.aggregate_cost(f, max(points)), args.force, AGGREGATE_GUARD,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from math import gcd, isqrt, lcm
 from operator import mul
 from typing import Iterable, Iterator, Sequence
@@ -23,7 +24,9 @@ class DomainError(ValueError):
 
 
 class FitError(ValueError):
-    """Fit failed; the message distinguishes the two causes."""
+    """Fit failed; the message says why: a sample below the Bell domain,
+    insufficient sample points, or a profile that cannot represent the
+    aggregate (an inconsistent system or a holdout mismatch)."""
 
 
 def _trim(coeffs: Sequence[Fraction]) -> tuple:
@@ -181,27 +184,15 @@ def default_sample_points(profile: FitProfile) -> list:
     return list(range(n0, n0 + profile.unknowns + HOLDOUT))
 
 
-# Fits of fewer unknowns go straight to Bareiss, the faster there.  Whole
-# fit() calls, best of 300-400: 4 unknowns (dim k = 1) took 0.05 ms by
-# Bareiss against 0.14 ms mod p, 10 (dim k = 2, int k = 1) 0.27 against
-# 0.30 ms, 11 0.38 against 0.35 ms and 18 (dim k = 3) 1.39 against 0.69 ms
-# (CPython 3.11.7, 2-vCPU x86-64).
-MODULAR_MIN_UNKNOWNS = 11
-
-
 def fit(samples: Iterable[tuple], profile: FitProfile) -> ShiftedBellPolynomial:
     """Solve exactly for the profile's coefficients from (n, value) samples.
 
     Every sample gives the integer row ``n^e * B(n+j) * den(v) | num(v)``,
-    training rows first.  From MODULAR_MIN_UNKNOWNS unknowns on, the rows
-    are solved mod word-size primes and the rationals rebuilt
-    (``_solve_modular``); the result stands only once every row checks
-    exactly.  Otherwise, and wherever that path cannot certify an answer,
-    one fraction-free Gauss-Jordan (``_bareiss``) solves them and gives
-    every verdict: the last HOLDOUT samples must be reproduced exactly, a
-    mismatch meaning the profile cannot represent the aggregate, and if the
-    training rows leave a coefficient free, held rows supply its pivot and
-    the whole system must be consistent instead.
+    training rows first, and ``_echelon`` solves the training rows.  If they
+    leave a coefficient free, held rows supply its pivot and the whole
+    system must be consistent instead.  Otherwise the last HOLDOUT samples
+    must be reproduced exactly, a mismatch meaning the profile cannot
+    represent the aggregate.
     """
     samples = [(int(n), Fraction(v)) for n, v in samples]
     lo = profile.shifts[0]
@@ -215,49 +206,124 @@ def fit(samples: Iterable[tuple], profile: FitProfile) -> ShiftedBellPolynomial:
         raise FitError("insufficient sample points: %d unknowns, %d equations" % (m, train))
     rows = [[n ** e * bell(n + j) * v.denominator for j, e in unknowns] + [v.numerator]
             for n, v in samples]
-    solution = _solve_modular(rows, train, m) if m >= MODULAR_MIN_UNKNOWNS else None
-    if solution is None:
-        solution = _bareiss(samples, rows, train, m)
+    # with no surplus training row to be found inconsistent, the first held
+    # row may settle a mismatch after one prime
+    solution, free = _echelon(rows, train, train if train == m else None)
+    if free:
+        solution, _ = _echelon(rows, len(rows), None)
+        train = len(rows)
+    den, scaled = _over_lcd(solution or ())
+    for (n, _), row in zip(samples[train:], rows[train:]):
+        if solution is None or sum(map(mul, row, scaled)) != row[-1] * den:
+            raise FitError("profile cannot represent the aggregate: holdout mismatch at n=%d" % n)
     mapping: dict = {}
     for (j, _), c in zip(unknowns, solution):
         mapping.setdefault(j, []).append(c)
     return ShiftedBellPolynomial.from_dict(mapping)
 
 
-def _bareiss(samples: list, rows: list, train: int, m: int) -> list:
-    """The coefficients by fraction-free Gauss-Jordan over the integer rows,
-    which it overwrites, or FitError.  The reference solver: it alone
-    decides rank-deficient and inconsistent systems."""
-    # each update divides exactly by the previous pivot; pivotless columns
-    # stay free (zero)
-    pivot_cols = []
-    trained = 0  # pivots taken from training rows
-    prev = 1
-    for col in range(m):
-        r = len(pivot_cols)
-        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+def _over_lcd(coeffs: Sequence[Fraction]) -> tuple:
+    """(d, [c * d for c in coeffs]) for the least common denominator d."""
+    den = lcm(*(c.denominator for c in coeffs))
+    return den, [c.numerator * (den // c.denominator) for c in coeffs]
+
+
+def _echelon(rows: list, eligible: int, held: int | None) -> tuple:
+    """Gauss-Jordan over Q on the integer rows, the right-hand side as
+    column m, with fit's first-nonzero pivot rule and pivots only from
+    ``rows[:eligible]``: (solution, free), the coefficients of the
+    right-hand side over the pivot columns with every free coefficient at
+    zero, and whether there is one.  FitError when the right-hand side takes
+    a pivot.  ``held`` is None or the index of a row past the eligible ones;
+    the solution is None once that row is nonzero mod a prime at which every
+    column but the right-hand side takes a pivot, as it is then over Q.
+
+    The rows are reduced mod 30-bit primes.  A column that takes a pivot
+    mod p has one over Q once every column before it is settled.  A column
+    without a pivot mod p is settled only when its coefficients over the
+    pivot columns, rebuilt by CRT and rational reconstruction, reproduce it
+    exactly on every eligible row.  A prime whose pivots are fewer or later
+    than another prime's is unlucky and skipped; only finitely many are.
+    """
+    m = len(rows[0]) - 1
+    best = None  # the pivot columns of the primes in use
+    for p in _primes():
+        pivots, open_cols, rest = _reduce_mod(rows, eligible, held, p)
+        inconsistent = m not in open_cols  # the right-hand side took a pivot
+        r = len(pivots) - inconsistent  # pivots among the first m columns
+        if r == m and rest:
+            return None, False
+        key = pivots + [m + 1]  # earlier and more pivots compare lower
+        if best is None or key < best:
+            best, mod, settled = key, 1, {}
+            residues = {c: [0] * r for c in open_cols}
+        elif key > best:
+            continue
+        inv = pow(mod, -1, p)
+        for c, column in open_cols.items():
+            if c in settled:
+                continue
+            residues[c] = [u + mod * ((x - u) * inv % p) for u, x in zip(residues[c], column)]
+            coeffs = [_rational(u, mod * p) for u in residues[c]]
+            if None in coeffs:
+                continue
+            solution = [Fraction(0)] * m
+            for col, coeff in zip(pivots, coeffs):
+                solution[col] = coeff
+            den, scaled = _over_lcd(solution)
+            if all(sum(map(mul, row, scaled)) == row[c] * den for row in rows[:eligible]):
+                settled[c] = solution
+        mod *= p
+        if len(settled) == len(open_cols):
+            if inconsistent:
+                raise FitError("profile cannot represent the aggregate: inconsistent system")
+            return settled[m], r < m
+
+
+def _reduce_mod(rows: list, eligible: int, held: int | None, p: int) -> tuple:
+    """Gauss-Jordan mod the prime p on ``rows[:eligible]`` and ``rows[held]``
+    with the right-hand side as column m, fit's first-nonzero pivot rule and
+    pivots only from the eligible rows: (the pivot columns, {each column
+    without a pivot: its entries in the pivot rows of the first m columns},
+    the held row's last entry, or 0 without one).
+
+    Each row is one int holding its residues in fixed slots, so a row update
+    ``row + (p - f) * pivot row`` is one C-level multiply-add.  Slots are
+    reduced only when a row becomes the pivot row, whose slots then lie
+    below p; a row takes fewer updates than there are rows, each less than
+    p^2, which the slot width leaves room for.
+    """
+    m = len(rows[0]) - 1
+    chosen = rows[:eligible] + ([] if held is None else [rows[held]])
+    size = (2 * p.bit_length() + len(chosen).bit_length() + 7) // 8  # bytes a slot
+    bits, width = 8 * size, (m + 1) * size
+    mask = (1 << bits) - 1
+
+    def pack(values) -> int:
+        return int.from_bytes(b"".join(v.to_bytes(size, "little") for v in values), "little")
+
+    packed = [pack([a % p for a in row]) for row in chosen]
+    pivots = []
+    for col in range(m + 1):
+        r, shift = len(pivots), col * bits
+        piv = next((i for i in range(r, eligible) if (packed[i] >> shift & mask) % p), None)
         if piv is None:
             continue
-        trained += piv < train
-        rows[r], rows[piv] = rows[piv], rows[r]
-        top, p = rows[r], rows[r][col]
-        for i, row in enumerate(rows):
-            if i != r:
-                f = row[col]
-                rows[i] = [(p * a - f * b) // prev for a, b in zip(row, top)]
-        prev = p
-        pivot_cols.append(col)
-    if trained < m:  # underdetermined training rows: held rows joined the system
-        train = len(rows)
-    if any(row[-1] for row in rows[len(pivot_cols):train]):
-        raise FitError("profile cannot represent the aggregate: inconsistent system")
-    for (n, _), row in zip(samples[train:], rows[train:]):
-        if row[-1]:
-            raise FitError("profile cannot represent the aggregate: holdout mismatch at n=%d" % n)
-    solution = [0] * m
-    for row, col in zip(rows, pivot_cols):
-        solution[col] = Fraction(row[-1], row[col])
-    return solution
+        raw = packed[piv].to_bytes(width, "little")
+        inv = pow(int.from_bytes(raw[col * size:(col + 1) * size], "little"), -1, p)
+        top = pack([int.from_bytes(raw[i:i + size], "little") * inv % p
+                    for i in range(0, width, size)])
+        packed[piv], packed[r] = packed[r], top
+        for i, row in enumerate(packed):
+            f = (row >> shift & mask) % p
+            if f and i != r:
+                packed[i] = row + (p - f) * top
+        pivots.append(col)
+    taken = set(pivots)
+    r = len(taken - {m})
+    open_cols = {c: [(row >> c * bits & mask) % p for row in packed[:r]]
+                 for c in range(m + 1) if c not in taken}
+    return pivots, open_cols, (packed[-1] >> m * bits) % p if held is not None else 0
 
 
 def _is_prime(n: int) -> bool:
@@ -278,53 +344,21 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+_PRIMES: dict = {}  # i -> the i-th prime below 2^30, descending, once found
+
+
 def _primes() -> Iterator[int]:
-    """The primes below 2^30, descending, each found when asked for."""
-    n = (1 << 30) + 1
-    while True:
-        n -= 2
-        if _is_prime(n):
-            yield n
-
-
-def _solve_mod(rows: list, train: int, m: int, p: int) -> list | None:
-    """The solution mod the prime p of the training rows, by Gauss-Jordan
-    with fit's first-nonzero pivot rule, or None when a column has no pivot
-    in the training rows mod p, or when a surplus training row or a held row
-    is left nonzero, which it is then over Q too.
-
-    Each row is one int holding its residues in fixed slots, so a row update
-    ``row + (p - f) * pivot row`` is one C-level multiply-add.  Slots are
-    reduced only when a row becomes the pivot row, whose slots then lie
-    below p; a row takes at most m updates of less than p^2 each, which the
-    slot width leaves room for.
-    """
-    size = (2 * p.bit_length() + len(rows).bit_length() + 7) // 8  # bytes a slot
-    bits, width = 8 * size, (m + 1) * size
-    mask = (1 << bits) - 1
-
-    def pack(values) -> int:
-        return int.from_bytes(b"".join(v.to_bytes(size, "little") for v in values), "little")
-
-    packed = [pack([a % p for a in row]) for row in rows]
-    for col in range(m):
-        shift = col * bits
-        piv = next((i for i in range(col, train) if (packed[i] >> shift & mask) % p), None)
-        if piv is None:
-            return None
-        raw = packed[piv].to_bytes(width, "little")
-        inv = pow(int.from_bytes(raw[col * size:(col + 1) * size], "little"), -1, p)
-        top = pack([int.from_bytes(raw[i:i + size], "little") * inv % p
-                    for i in range(0, width, size)])
-        packed[piv], packed[col] = packed[col], top
-        for i, row in enumerate(packed):
-            f = (row >> shift & mask) % p
-            if f and i != col:
-                packed[i] = row + (p - f) * top
-    shift = m * bits  # the right-hand side, the top slot
-    if any((row >> shift) % p for row in packed[m:]):
-        return None
-    return [(row >> shift) % p for row in packed[:m]]
+    """The primes below 2^30, descending, each found when first asked for
+    and kept for the process (threads that race find the same prime)."""
+    p = (1 << 30) + 1
+    for i in count():
+        if i not in _PRIMES:
+            q = p - 2
+            while not _is_prime(q):
+                q -= 2
+            _PRIMES[i] = q
+        p = _PRIMES[i]
+        yield p
 
 
 def _rational(u: int, mod: int) -> Fraction | None:
@@ -338,43 +372,3 @@ def _rational(u: int, mod: int) -> Fraction | None:
     if abs(s1) > bound or gcd(r1, s1) != 1:
         return None
     return Fraction(r1, s1)
-
-
-def _solve_modular(rows: list, train: int, m: int) -> list | None:
-    """The coefficients as Fractions once every row checks exactly, or None
-    for ``_bareiss`` to decide.
-
-    Full rank mod p proves the training rows have full rank over Q, so they
-    have at most one solution, and a candidate that satisfies every row is
-    the one Bareiss finds.  Primes are added, their residues combined by
-    CRT and the rationals rebuilt, until a candidate checks.  By Cramer's
-    rule and Hadamard's bound, each coefficient's numerator and denominator
-    lie below H, the product of the m largest training-row norms, so a
-    modulus past 2*H^2 rebuilds the solution if there is one; past it the
-    search stops.
-    """
-    # a squared row norm is below 2^(2 * widest entry's bits + bits of the length)
-    norms = sorted(2 * max(a.bit_length() for a in row) + len(row).bit_length()
-                   for row in rows[:train])
-    limit = sum(norms[-m:]) + 1  # 2*H^2 < 2^limit
-    mod, residues = 1, [0] * m
-    for p in _primes():
-        x = _solve_mod(rows, train, m, p)
-        if x is None:
-            return None
-        inv = pow(mod, -1, p)
-        residues = [r + mod * ((xi - r) * inv % p) for r, xi in zip(residues, x)]
-        mod *= p
-        candidate = []
-        for u in residues:
-            c = _rational(u, mod)
-            if c is None:
-                break
-            candidate.append(c)
-        else:
-            den = lcm(*(c.denominator for c in candidate))
-            scaled = [c.numerator * (den // c.denominator) for c in candidate]
-            if all(sum(map(mul, row, scaled)) == row[-1] * den for row in rows):
-                return candidate
-        if mod.bit_length() > limit:
-            return None

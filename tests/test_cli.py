@@ -254,8 +254,6 @@ def test_aggregate_cost_guard_and_force(tmp_path, capsys, monkeypatch):
 
 _HUGE = "1" + "0" * 400
 _FIT_REFUSAL = "exceeds the fit guard (406; %s); pass --force to override\n" % cli.FIT_COST
-_PATTERN_FIT_REFUSAL = ("exceeds the fit guard (91; %s); pass --force to override\n"
-                        % cli.PATTERN_FIT_COST)
 
 
 @pytest.mark.parametrize(
@@ -277,9 +275,9 @@ _PATTERN_FIT_REFUSAL = ("exceeds the fit guard (91; %s); pass --force to overrid
         (["aggregate", "--pattern", "ONE", "--n", "100000"], "estimated cost about 10^10.3 exceeds "
          "the aggregate cost guard (20000000; %s); pass --force to override\n" % cli.AGGREGATE_COST),
         (["fit", "--target", "int", "--k", "10"], "unknowns=496 " + _FIT_REFUSAL),
-        (["fit", "--pattern", "ONE", "--profile-degree", "12"], "unknowns=104 " + _PATTERN_FIT_REFUSAL),
+        (["fit", "--pattern", "ONE", "--profile-degree", "28"], "unknowns=464 " + _FIT_REFUSAL),
         (["fit", "--pattern", "ONE", "--profile-degree", "9" * 4000],
-         "unknowns=about 10^7999.7 " + _PATTERN_FIT_REFUSAL),
+         "unknowns=about 10^7999.7 " + _FIT_REFUSAL),
         (["asym", "--target", "dim", "--n", "4001"], "n=4001 exceeds the asym guard "
          "(4000; %s); pass --force to override\n" % cli.ASYM_COST),
         (["bell", "--max", "4001"], "max=4001 exceeds the bell guard "
@@ -526,13 +524,13 @@ def test_fit_pattern_profile_guard_and_force(tmp_path, capsys, monkeypatch):
     for option, value, shown in (("--profile-degree", huge, "%d" % ((big + 1) * (big + 2) // 2 + big + 1)),
                                  ("--profile-k", huge, "%d" % (3 + big + big * (big + 1) // 2)),
                                  ("--profile-degree", "9" * 4000, "about 10^7999.7"),
-                                 ("--profile-degree", "12", "104")):
+                                 ("--profile-degree", "28", "464")):
         start = time.perf_counter()
         code, out, err = invoke(capsys, *fit, option, value)
         assert time.perf_counter() - start < 1.0
         assert code == 1 and out == ""
         assert err.startswith("error: unknowns=%s exceeds the fit guard (%d;"
-                              % (shown, cli.PATTERN_FIT_GUARD))
+                              % (shown, cli.FIT_GUARD))
         assert err.endswith("pass --force to override\n")
     for option in ("--profile-degree", "--profile-k"):
         start = time.perf_counter()
@@ -540,11 +538,27 @@ def test_fit_pattern_profile_guard_and_force(tmp_path, capsys, monkeypatch):
         assert time.perf_counter() - start < 1.0
         assert code == 1 and out == ""
         assert err == "error: %s exceeds the largest size a list can index (%d)\n" % (option, sys.maxsize)
-    monkeypatch.setattr(cli, "PATTERN_FIT_GUARD", 3)
+    monkeypatch.setattr(cli, "FIT_GUARD", 3)
     small = fit + ("--profile-degree", "1", "--profile-k", "1")  # 5 unknowns
     assert invoke(capsys, *small)[0] == 1
     code, out, _ = invoke(capsys, *small, "--force")
     assert code == 0 and out.splitlines()[0] == "j=-1: 1*n"
+
+
+def test_failing_pattern_fits_are_decided_fast(tmp_path, capsys):
+    # count of singleton blocks, n*B(n-1), needs shift -1: without it the
+    # profile cannot represent the aggregate.  At 105 unknowns one prime
+    # settles the holdout mismatch; at 3 the training rows are singular and
+    # the held rows join an inconsistent system
+    path = tmp_path / "singletons.json"
+    path.write_text(json.dumps({"length": 1, "blocks": [[1]], "firsts": [1], "lasts": [1], "q": "1"}))
+    for degree, verdict in (("13", "holdout mismatch at n=106"), ("1", "inconsistent system")):
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, "fit", "--pattern", str(path), "--profile-k", "0",
+                                "--profile-degree", degree)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, "")
+        assert err == "error: fit failed: profile cannot represent the aggregate: %s\n" % verdict
 
 
 def test_run_reuses_one_parser_without_leaking_options(tmp_path, capsys, monkeypatch):

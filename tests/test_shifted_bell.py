@@ -267,10 +267,46 @@ def _outcome(samples, profile):
         return "error", str(e)
 
 
+def _bareiss(samples: list, rows: list, train: int, m: int) -> list:
+    """The coefficients by fraction-free Gauss-Jordan over the integer rows,
+    which it overwrites, or FitError.  The reference solver: it alone
+    decides rank-deficient and inconsistent systems."""
+    # each update divides exactly by the previous pivot; pivotless columns
+    # stay free (zero)
+    pivot_cols = []
+    trained = 0  # pivots taken from training rows
+    prev = 1
+    for col in range(m):
+        r = len(pivot_cols)
+        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        trained += piv < train
+        rows[r], rows[piv] = rows[piv], rows[r]
+        top, p = rows[r], rows[r][col]
+        for i, row in enumerate(rows):
+            if i != r:
+                f = row[col]
+                rows[i] = [(p * a - f * b) // prev for a, b in zip(row, top)]
+        prev = p
+        pivot_cols.append(col)
+    if trained < m:  # underdetermined training rows: held rows joined the system
+        train = len(rows)
+    if any(row[-1] for row in rows[len(pivot_cols):train]):
+        raise FitError("profile cannot represent the aggregate: inconsistent system")
+    for (n, _), row in zip(samples[train:], rows[train:]):
+        if row[-1]:
+            raise FitError("profile cannot represent the aggregate: holdout mismatch at n=%d" % n)
+    solution = [0] * m
+    for row, col in zip(rows, pivot_cols):
+        solution[col] = Fraction(row[-1], row[col])
+    return solution
+
+
 def _bareiss_outcome(samples, profile):
     m = profile.unknowns
     try:
-        solution = shifted_bell._bareiss(samples, _int_rows(samples, profile), len(samples) - HOLDOUT, m)
+        solution = _bareiss(samples, _int_rows(samples, profile), len(samples) - HOLDOUT, m)
     except FitError as e:
         return "error", str(e)
     unknowns = [(j, e) for j, b in zip(profile.shifts, profile.degree_bounds) for e in range(b + 1)]
@@ -290,15 +326,25 @@ def test_primes_descend_through_every_prime_below_2_30():
     assert [next(primes) for _ in range(40)] == expected
 
 
+def _primes_from(first):
+    """``_primes`` led by the primes ``first``, then the real ones."""
+    real = shifted_bell._primes
+
+    def primes():
+        yield from first
+        yield from real()
+
+    return primes
+
+
 def test_modular_fit_survives_a_prime_that_divides_a_pivot(monkeypatch):
     # int k = 2 (28 unknowns): 13 divides the 6th leading minor of the
     # training rows, the pivot Bareiss meets there without row exchanges, but
-    # not their determinant, so another row takes that pivot mod 13 and the
-    # modular path still certifies the answer; 449 divides the determinant,
-    # so mod 449 a column has no pivot and Bareiss solves the system
+    # not their determinant, so another row takes that pivot mod 13; 449
+    # divides the determinant, so mod 449 a column has no pivot, and the
+    # prime after it, with more pivots, replaces it
     samples, profile = _target_samples("int", 2)
     m = profile.unknowns
-    assert m >= shifted_bell.MODULAR_MIN_UNKNOWNS
     a = [row[:m] for row in _int_rows(samples, profile)[:m]]
     prev, minors = 1, []
     for r in range(m):  # Bareiss without row exchanges: pivot r is the leading minor
@@ -308,22 +354,12 @@ def test_modular_fit_survives_a_prime_that_divides_a_pivot(monkeypatch):
         prev = a[r][r]
     assert minors[5] % 13 == 0 and minors[-1] % 13 and minors[-1] % 449 == 0
     expected = _bareiss_outcome(samples, profile)
-    real = shifted_bell._primes
-    solved = []
-    monkeypatch.setattr(shifted_bell, "_bareiss",
-                        lambda *args, _f=shifted_bell._bareiss: solved.append(1) or _f(*args))
-    for first, by_bareiss in ((13, False), (449, True)):
-        def primes(first=first):
-            yield first
-            yield from real()
-
-        monkeypatch.setattr(shifted_bell, "_primes", primes)
-        solved.clear()
+    for first in (13, 449):
+        monkeypatch.setattr(shifted_bell, "_primes", _primes_from([first]))
         assert _outcome(samples, profile) == expected
-        assert bool(solved) == by_bareiss
 
 
-def test_a_held_mismatch_goes_to_bareiss_after_one_prime(monkeypatch):
+def test_a_held_mismatch_is_decided_after_one_prime(monkeypatch):
     samples, profile = _target_samples("int", 2)
     n, v = samples[-1]
     samples[-1] = (n, v + 1)
@@ -340,23 +376,33 @@ def test_a_held_mismatch_goes_to_bareiss_after_one_prime(monkeypatch):
     assert len(tried) == 1
 
 
-def test_singular_training_rows_go_to_bareiss(monkeypatch):
+def test_a_held_row_that_vanishes_mod_the_first_prime_still_mismatches():
+    # the first held value is off by the first prime p, so its row is zero
+    # mod p but not over Q; the second held value is off by 1, nonzero mod p
+    samples, profile = _target_samples("int", 2)
+    assert all(v.denominator == 1 for _, v in samples)
+    p = next(shifted_bell._primes())
+    first = len(samples) - HOLDOUT
+    for i, delta in ((first, p), (first + 1, 1)):
+        samples[i] = (samples[i][0], samples[i][1] + delta)
+    with pytest.raises(FitError, match="holdout mismatch at n=%d$" % samples[first][0]):
+        fit(samples, profile)
+
+
+def test_singular_training_rows_go_to_bareiss():
     # profile_generic(1, 0) at its default points: the training rows at
-    # n = 1, 2, 3 have determinant 0, so held rows must supply a pivot
+    # n = 1, 2, 3 have determinant 0, so held rows must supply a pivot; the
+    # outcome must be the Bareiss oracle's
     profile = profile_generic(1, 0)
     pts = default_sample_points(profile)
     assert len(pts) == profile.unknowns + HOLDOUT
-    monkeypatch.setattr(shifted_bell, "MODULAR_MIN_UNKNOWNS", 1)
     truth = ShiftedBellPolynomial.from_dict({0: [Fraction(1, 3), -2], 1: [5]})
     for values in ([truth.evaluate(n) for n in pts], [Fraction(2) ** n for n in pts]):
         samples = list(zip(pts, values))
         assert _outcome(samples, profile) == _bareiss_outcome(samples, profile)
 
 
-def test_target_fits_reproduce_the_moments_to_n_120(monkeypatch):
-    solved = []  # the unknowns of each fit Bareiss solves
-    monkeypatch.setattr(shifted_bell, "_bareiss",
-                        lambda *args, _f=shifted_bell._bareiss: solved.append(args[3]) or _f(*args))
+def test_target_fits_reproduce_the_moments_to_n_120():
     for target, top in (("int", 5), ("dim", 8)):
         exact = (dim_moments_range if target == "dim" else int_moments_range)(top, 120)
         for k in range(1, top + 1):
@@ -364,17 +410,16 @@ def test_target_fits_reproduce_the_moments_to_n_120(monkeypatch):
             fitted = fit(samples, profile)
             for n in range(max(1, -profile.shifts[0]), 121):
                 assert fitted.evaluate(n) == exact[n][k], (target, k, n)
-    # only dim k = 1, 2 and int k = 1 lie below the crossover
-    assert solved == [10, 4, 10]
 
 
 @settings(max_examples=120, deadline=None)
-@given(st.integers(min_value=0, max_value=10 ** 6))
-def test_modular_path_matches_bareiss(seed):
-    # profiles of 2 to 25 unknowns, all solved mod p first; numerators and
-    # denominators up to 10^12, which one prime's reconstruction can get wrong;
-    # default, shuffled and duplicated points; perturbed values; and truths
-    # of higher degree than the profile allows
+@given(st.integers(min_value=0, max_value=10 ** 6), st.booleans())
+def test_modular_path_matches_bareiss(seed, small_primes_first):
+    # profiles of 2 to 25 unknowns; numerators and denominators up to 10^12,
+    # which one prime's reconstruction can get wrong; default, shuffled and
+    # duplicated points, and points with few distinct n (rank-deficient
+    # systems with free columns); perturbed values; truths of higher degree
+    # than the profile allows; and, in bulk, unlucky primes 3..23 first
     rng = random.Random(seed)
     shifts = sorted(rng.sample(range(-2, 5), rng.randint(2, 5)))
     profile = FitProfile(tuple(shifts), tuple(rng.randint(0, 4) for _ in shifts))
@@ -385,14 +430,14 @@ def test_modular_path_matches_bareiss(seed):
         for j, b in zip(profile.shifts, profile.degree_bounds)
     })
     pts = default_sample_points(profile)
-    ns = [pts, rng.sample(pts, len(pts)), pts + [rng.choice(pts)], sorted(pts + pts[:3])][rng.randrange(4)]
+    few = [rng.choice(pts[:rng.randint(1, 4)]) for _ in pts]
+    ns = [pts, rng.sample(pts, len(pts)), pts + [rng.choice(pts)], sorted(pts + pts[:3]),
+          few][rng.randrange(5)]
     samples = [(n, truth.evaluate(n)) for n in ns]
     if rng.random() < 0.3:
         i = rng.randrange(len(samples))
         samples[i] = (samples[i][0], samples[i][1] + Fraction(1, rng.randint(1, 3)))
-    old = shifted_bell.MODULAR_MIN_UNKNOWNS
-    shifted_bell.MODULAR_MIN_UNKNOWNS = 1
-    try:
+    with pytest.MonkeyPatch.context() as patch:
+        if small_primes_first:
+            patch.setattr(shifted_bell, "_primes", _primes_from([3, 5, 7, 11, 13, 17, 19, 23]))
         assert _outcome(samples, profile) == _bareiss_outcome(samples, profile)
-    finally:
-        shifted_bell.MODULAR_MIN_UNKNOWNS = old
