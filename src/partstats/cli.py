@@ -10,10 +10,9 @@ import argparse
 import json
 import math
 import sys
-from fractions import Fraction
 
 from . import asymptotics, recursions, shifted_bell, statistics
-from .exactnum import bell, bell_mod_table, bell_text, exact_text
+from .exactnum import bell, bell_csv, bell_mod_table, exact_text
 from .partitions import PartitionError, brute_distribution, parse_partition
 from .statistics import StatisticError
 
@@ -153,7 +152,7 @@ def _cmd_bell(args) -> None:
         text = "n,bell\n" + "".join(map("%d,%d\n".__mod__, enumerate(residues)))
     else:
         _guard(args.max, args.force, ASYM_GUARD, "bell guard", ASYM_COST, "max")
-        text = _csv("n,bell", enumerate(bell_text(args.max)))
+        text = bell_csv(args.max)
     _write(args, text)
 
 
@@ -255,15 +254,18 @@ def _cmd_asym(args) -> None:
         raise CliError("--n must be at least 2")
     _guard(n, args.force, ASYM_GUARD, "asym guard", ASYM_COST, "n")
     fitted = _fit_target(args.target, 1)
-    exact_mean = Fraction(fitted.evaluate(n), bell(n))
+    total = fitted.evaluate(n)
+    # one correctly rounded int division, as float(Fraction) does, without
+    # first reducing the fraction by the gcd of two numbers of B_n's size
+    exact_mean = total.numerator / (total.denominator * bell(n))
     mean_est = getattr(asymptotics, args.target + "_moment_asym")(n)[0]
     a = asymptotics.alpha(n)
     # the exact mean is 0 at small n (dim at n = 2, int at n <= 3)
-    rel = abs(mean_est / float(exact_mean) - 1.0) if exact_mean else math.inf
+    rel = abs(mean_est / exact_mean - 1.0) if total.numerator else math.inf
     lines = [
         "quantity,exact,asymptotic,rel_error",
         "alpha,%.12g,%.12g,0" % (a, a),
-        "mean,%.12g,%.12g,%.3e" % (float(exact_mean), mean_est, rel),
+        "mean,%.12g,%.12g,%.3e" % (exact_mean, mean_est, rel),
     ]
     exact_log = asymptotics.log_bell_exact(n)
     for order in (0, 1, 2):

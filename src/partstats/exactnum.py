@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, islice
+from operator import sub
 
 
 def exact_text(x: int | Fraction) -> str:
@@ -47,6 +48,13 @@ _CELL_COST = 27  # digit additions per residue-triangle cell, likewise
 _WIDE_COST = 2  # digit additions added to each per further digit of the modulus
 
 
+# entries of a triangle row summed and freed at a time by BellTable._grow: a
+# small fraction of the rows that dominate memory (thousands of entries), so
+# at most one row and a chunk are alive, yet enough that the Python loop over
+# chunks costs nothing next to the C-level sums
+_CHUNK = 256
+
+
 class BellTable:
     """Memoized Bell numbers B_0..B_max computed via the Bell triangle.
 
@@ -54,13 +62,15 @@ class BellTable:
     B_{n+1} = sum_k C(n,k) B_k; a table instance only ever grows.
     Extension is guarded by a lock so a shared table is safe to grow
     from multiple threads; reads of already-computed entries are free.
-    The decimal text of each B_n is made at most once, on demand, and kept.
+    The decimal text of each B_n is made at most once, on demand, and kept
+    in one CSV text; see ``csv``.
     """
 
     def __init__(self) -> None:
         self._values = [1, 1]  # B_0, B_1
         self._row = [1]  # latest triangle row; last entry is B_1
-        self._texts = []  # text of B_0, B_1, ...; never longer than _values
+        self._csv = "n,bell\n"  # header, then "n,B_n" lines for n < len(_ends) - 1
+        self._ends = [len(self._csv)]  # _ends[n + 1] is the end of the line of B_n
         self._rent = (1, 0)  # (frontier, residue work done past it), see mod_table
         self._lock = threading.Lock()
 
@@ -76,10 +86,24 @@ class BellTable:
             self._grow(n)
 
     def _grow(self, n: int) -> None:
-        # the caller holds the lock, which is not re-entrant
+        # the caller holds the lock, which is not re-entrant.  Row k + 1 is
+        # built a chunk at a time while row k is emptied in place, so about
+        # one row of big ints is alive rather than two.
         while self.max_index < n:
-            prev = self._row
-            self._row = row = list(accumulate(prev, initial=prev[-1]))
+            old = self._row
+            size, row = len(old), [old[-1]]
+            try:
+                while old:
+                    part = old[:_CHUNK]
+                    row += islice(accumulate(part, initial=row[-1]), 1, None)
+                    del old[:_CHUNK]
+            except BaseException:
+                # put the entries already deleted back, the steps of the new
+                # row, so an interrupted growth leaves row k whole
+                done = size - len(old)
+                old[:0] = map(sub, row[1: done + 1], row[:done])
+                raise
+            self._row = row
             self._values.append(row[-1])
 
     def mod_table(self, nmax: int, m: int) -> list[int]:
@@ -115,7 +139,8 @@ class BellTable:
                     wide = _WIDE_COST * ((m.bit_length() - 1) // 30)
                     self._rent = (k, paid + (_REDUCE_COST + wide) * k * (bits // 30 + 1)
                                   + (_CELL_COST + wide) * (nmax - k) * (nmax + k + 1) // 2)
-            row, held = self._row, self._values[: nmax + 1]
+            # a copy: growth empties the row list in place
+            row, held = self._row[:], self._values[: nmax + 1]
         values = [b % m for b in held]
         if len(values) <= nmax:  # row[-1] is B_k, the last value held
             bound = m << 100
@@ -127,17 +152,36 @@ class BellTable:
                 values.append(row[-1] % m)
         return values
 
-    def text(self, nmax: int) -> list[str]:
-        """``exact_text`` of B_0..B_nmax.  Each is formatted once per table
-        and kept: CPython's int-to-str is quadratic in the digits."""
+    def csv(self, nmax: int) -> str:
+        """The text ``n,bell`` then one ``n,B_n`` line for n = 0..nmax, each
+        line ending in a newline.  Each B_n is formatted once per table by
+        ``exact_text`` (CPython's int-to-str is quadratic in the digits) and
+        kept in one CSV text, of which this is a prefix: the text itself
+        when nmax is the largest n formatted so far."""
         if nmax < 0:
             raise ValueError("nmax must be nonnegative")
         self.extend(nmax)  # before the lock, which is not re-entrant
         with self._lock:
-            texts = self._texts
-            if len(texts) <= nmax:
-                texts.extend(map(exact_text, self._values[len(texts): nmax + 1]))
-            return texts[: nmax + 1]
+            ends = self._ends
+            if len(ends) <= nmax + 1:
+                start = len(ends) - 1
+                # the held text and the new lines in one join, so the text
+                # is built in one copy beside the lines; the text and its
+                # offsets change together, once nothing more can fail
+                lines = [self._csv]
+                lines += ("%d,%s\n" % (i, exact_text(b))
+                          for i, b in enumerate(self._values[start: nmax + 1], start))
+                stops = list(islice(accumulate(map(len, lines)), 1, None))
+                self._csv = "".join(lines)
+                ends += stops
+            return self._csv[: ends[nmax + 1]]
+
+    def values(self, nmax: int) -> list[int]:
+        """B_0..B_nmax, read at once."""
+        if nmax < 0:
+            raise ValueError("nmax must be nonnegative")
+        self.extend(nmax)
+        return self._values[: nmax + 1]
 
     def __getitem__(self, n: int) -> int:
         if n < 0:
@@ -173,14 +217,19 @@ def unpack(packed: int, size: int) -> dict:
     return {i: c for i, c in enumerate(counts) if c}
 
 
+def bell_table(nmax: int) -> list[int]:
+    """B_0..B_nmax from the shared table, in one read; see ``bell`` for one."""
+    return _BELL.values(nmax)
+
+
 def bell_mod_table(nmax: int, m: int) -> list[int]:
     """B_0..B_nmax reduced mod m; see ``BellTable.mod_table``."""
     return _BELL.mod_table(nmax, m)
 
 
-def bell_text(nmax: int) -> list[str]:
-    """The decimal text of B_0..B_nmax; see ``BellTable.text``."""
-    return _BELL.text(nmax)
+def bell_csv(nmax: int) -> str:
+    """``bell --max nmax``'s CSV text of B_0..B_nmax; see ``BellTable.csv``."""
+    return _BELL.csv(nmax)
 
 
 def bell_mod(n: int, m: int) -> int:

@@ -16,7 +16,7 @@ from math import gcd, isqrt, lcm
 from operator import mul
 from typing import Iterable, Iterator, Sequence
 
-from .exactnum import bell, exact_text
+from .exactnum import bell, bell_table, exact_text
 
 
 class DomainError(ValueError):
@@ -204,7 +204,8 @@ def fit(samples: Iterable[tuple], profile: FitProfile) -> ShiftedBellPolynomial:
     train = max(0, len(samples) - HOLDOUT)
     if train < m:
         raise FitError("insufficient sample points: %d unknowns, %d equations" % (m, train))
-    rows = [[n ** e * bell(n + j) * v.denominator for j, e in unknowns] + [v.numerator]
+    bells = bell_table(max(n for n, _ in samples) + profile.shifts[-1])
+    rows = [[n ** e * bells[n + j] * v.denominator for j, e in unknowns] + [v.numerator]
             for n, v in samples]
     # with no surplus training row to be found inconsistent, the first held
     # row may settle a mismatch after one prime

@@ -175,7 +175,7 @@ def test_bell_guard_and_force(capsys, monkeypatch):
 
     huge = "1" + "0" * 400
     monkeypatch.setattr(cli, "bell", no_table)
-    monkeypatch.setattr(cli, "bell_text", no_table)
+    monkeypatch.setattr(cli, "bell_csv", no_table)
     monkeypatch.setattr(cli, "bell_mod_table", no_table)
     for n in (str(cli.ASYM_GUARD + 1), huge):
         start = time.perf_counter()

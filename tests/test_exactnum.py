@@ -1,13 +1,16 @@
 import math
 import sys
 import threading
+import tracemalloc
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from partstats.exactnum import (BellTable, bell, bell_mod, bell_mod_table, bell_text, exact_text,
-                                stirling2, unpack)
+from partstats import exactnum
+from partstats.exactnum import (BellTable, bell, bell_csv, bell_mod, bell_mod_table, bell_table,
+                                exact_text, stirling2, unpack)
 
 BELL_SMALL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975]
 
@@ -215,23 +218,38 @@ def test_mod_table_buy_races_an_extend():
     assert all(values == expected[m] for m, values in results)
 
 
-def test_text_formats_each_value_once():
+def _csv_of(values):
+    return "n,bell\n" + "".join("%d,%d\n" % row for row in enumerate(values))
+
+
+def test_text_formats_each_value_once(monkeypatch):
+    formatted = []
+
+    def spy(x):
+        formatted.append(x)
+        return exact_text(x)
+
+    monkeypatch.setattr(exactnum, "exact_text", spy)
     table = BellTable()
-    assert table.text(0) == ["1"] and table.text(10) == [str(b) for b in BELL_SMALL]
-    first, again = table.text(40), table.text(60)
-    assert again[:41] == first == [str(bell(n)) for n in range(41)]
-    assert all(a is b for a, b in zip(first, again))  # kept, not formatted again
-    assert bell_text(5) == ["1", "1", "2", "5", "15", "52"]
+    assert table.csv(0) == "n,bell\n0,1\n" and table.csv(10) == _csv_of(BELL_SMALL)
+    first, again = table.csv(40), table.csv(60)
+    assert first == _csv_of(bell(n) for n in range(41)) and again.startswith(first)
+    assert table.csv(60) is again  # the held text itself at its frontier
+    assert table.csv(7) == _csv_of(BELL_SMALL[:8])
+    assert formatted == [bell(n) for n in range(61)]  # each once, in order
+    assert bell_csv(5) == "n,bell\n0,1\n1,1\n2,2\n3,5\n4,15\n5,52\n"
     with pytest.raises(ValueError):
-        table.text(-1)
+        table.csv(-1)
 
 
 def test_text_reads_are_consistent_while_the_table_grows():
-    # one thread grows a fresh table row by row while two others read decimal
-    # text at rising sizes, each extending the table and its memo; every read
-    # must equal str of the exact values, with no entry lost or repeated
+    # one thread grows a fresh table row by row while two others read CSV
+    # text at rising sizes, each extending the table and its text; every read
+    # must equal the CSV of the exact values, with no line lost or repeated
     nmax = 300
-    expected = [str(bell(n)) for n in range(nmax + 1)]
+    expected = _csv_of(bell(n) for n in range(nmax + 1))
+    # stops[k + 1] ends the line of B_k
+    stops = list(accumulate(map(len, expected.splitlines(keepends=True))))
     sizes = range(nmax + 1)
     results = []
     interval = sys.getswitchinterval()
@@ -240,18 +258,96 @@ def test_text_reads_are_consistent_while_the_table_grows():
         for _ in range(6):
             table = BellTable()
             grower = threading.Thread(target=lambda: [table.extend(n) for n in range(2, nmax + 1)])
-            readers = [threading.Thread(target=lambda: results.extend((k, table.text(k)) for k in sizes))
+            readers = [threading.Thread(target=lambda: results.extend((k, table.csv(k)) for k in sizes))
                        for _ in range(2)]
             for th in [grower] + readers:
                 th.start()
             for th in [grower] + readers:
                 th.join(timeout=60)
             assert not any(th.is_alive() for th in [grower] + readers)
-            assert table.text(nmax) == expected
+            assert table.csv(nmax) == expected
     finally:
         sys.setswitchinterval(interval)
     assert len(results) == 12 * len(sizes)
-    assert all(text == expected[: k + 1] for k, text in results)
+    assert all(text == expected[: stops[k + 1]] for k, text in results)
+
+
+def test_text_grows_in_one_join():
+    # extending the text from B_600 to B_1200 holds the new lines beside the
+    # text joined from them, 1.83 times the text's bytes; joining the new
+    # lines apart and then appending them to the held text peaks at 2.59
+    table = BellTable()
+    table.extend(1200)
+    table.csv(600)
+    tracemalloc.start()
+    try:
+        text = table.csv(1200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.2 * sys.getsizeof(text)
+    assert text == _csv_of(bell(n) for n in range(1201))
+
+
+def _triangle_row(k):
+    """Row k of the Bell triangle, one unchunked prefix sum per row."""
+    row = [1]
+    for _ in range(k - 1):
+        row = list(accumulate(row, initial=row[-1]))
+    return row
+
+
+def test_growth_keeps_about_one_row_alive():
+    # growing B_701..B_800 may hold the new values, the last row and the
+    # chunk being summed, about 1.35 times that row's bytes with 256-entry
+    # chunks; a growth that keeps row n alive while it builds row n + 1
+    # peaks at about 2.0 times, and fails this bound
+    table = BellTable()
+    table.extend(700)
+    tracemalloc.start()
+    try:
+        table.extend(800)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    new_values = sum(map(sys.getsizeof, table._values[701:]))
+    row = sys.getsizeof(table._row) + sum(map(sys.getsizeof, table._row))
+    assert peak < new_values + 1.5 * row
+    assert table._row == _triangle_row(800)
+    assert table._values == [bell(n) for n in range(801)]
+
+
+def test_interrupted_growth_leaves_the_row_whole(monkeypatch):
+    # row 600 is summed in three chunks; an interrupt halfway through the
+    # second leaves row 600 and B_0..B_600 as they were, and growth resumes
+    # exactly
+    table = BellTable()
+    table.extend(600)
+    calls = []
+
+    def interrupted(part, initial):
+        calls.append(initial)
+        for i, total in enumerate(accumulate(part, initial=initial)):
+            if len(calls) == 2 and i == 100:
+                raise KeyboardInterrupt
+            yield total
+
+    monkeypatch.setattr(exactnum, "accumulate", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        table.extend(601)
+    monkeypatch.undo()
+    assert len(calls) == 2 and table.max_index == 600
+    assert table._row == _triangle_row(600)
+    table.extend(610)
+    assert table._row == _triangle_row(610)
+    assert table._values == [bell(n) for n in range(611)]
+
+
+def test_bell_table_reads_the_values_at_once():
+    assert bell_table(0) == [1] and bell_table(10) == BELL_SMALL
+    assert bell_table(320) == [bell(n) for n in range(321)]
+    with pytest.raises(ValueError):
+        bell_table(-1)
 
 
 @given(st.lists(st.integers(min_value=0, max_value=2**40 - 1), max_size=20),
