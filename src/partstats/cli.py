@@ -27,19 +27,17 @@ DP_COST = "at n=200 dist dim took 27 s and 142 MiB, dist int 85 s and 101 MiB"
 AGGREGATE_GUARD = 2 * 10**7
 AGGREGATE_COST = ("at the bound crossings_k(2)*nestings (n=120) took 2.8 s, "
                   "one singleton pattern (n=3162) 12 s")
-# bound on recursions.moments_cost for `moments`, on the unknowns of the
-# `fit --target` and `fit --pattern` profiles, and on n for `asym`, whose
-# exact B_n costs about n^3; measured at and past the bounds on CPython
-# 3.11.7, 2 vCPU
+# bound on recursions.moments_cost for `moments`; measured at and past the
+# bound on CPython 3.11.7, 2 vCPU
 MOMENTS_GUARD = 3 * 10**10
 MOMENTS_COST = ("at the bound dim n=3100 k=0 took 15 s, dim n=0 k=773 9 s, "
                 "int n=1955 k=1 14 s and 24 MiB")
 # bound on the unknowns of the `fit --target` and `fit --pattern` profiles
-# (int k <= 9, dim k <= 17 pass); measured cold, moments or aggregate
+# (int k <= 15, dim k <= 17 pass); measured cold, moments or aggregate
 # included, on CPython 3.11.7, 2 vCPU
 FIT_GUARD = 406
-FIT_COST = ("int k=9 (406 unknowns) took 4.5 s, dim k=17 (396) 12.7 s, dim k=18 (442) 15.4 s, "
-            "a failing pattern fit (406) 1.0 s")
+FIT_COST = ("int k=15 (376 unknowns) took 6.0 s, dim k=17 (396) 8.7 s, dim k=18 (442) 12.2 s, "
+            "a failing pattern fit (406) 0.7 s")
 # exact `bell --max N` shares the asym bound and text: both grow B_0..B_N
 # (bell --max 3000 took 5.3 s, --max 4000 12.7 s)
 ASYM_GUARD = 4000

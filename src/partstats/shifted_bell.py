@@ -133,37 +133,39 @@ def profile_generic(big_n: int, k: int) -> FitProfile:
     return FitProfile(tuple(shifts), tuple(bounds))
 
 
-def profile_dim(k: int) -> FitProfile:
-    """Moment profile for the dimension exponent: shifts 0..2k with the
-    sharpened degree rule (j for j <= k, else k - ceil((j-k)/2))."""
+def _moment_profile(k: int, dip) -> FitProfile:
+    """Shifts 0..2k; the coefficient of B_{n+s} has degree 2k - s for
+    s >= k and k - dip(k - s) below."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    shifts = list(range(0, 2 * k + 1))
-    bounds = []
-    for s in shifts:
-        j = 2 * k - s
-        bounds.append(j if j <= k else k - (j - k + 1) // 2)
+    shifts = range(2 * k + 1)
+    bounds = [2 * k - s if s >= k else k - dip(k - s) for s in shifts]
     return FitProfile(tuple(shifts), tuple(bounds))
+
+
+def profile_dim(k: int) -> FitProfile:
+    """Moment profile for the dimension exponent: the moment rule with
+    dip(t) = ceil(t/2)."""
+    return _moment_profile(k, lambda t: (t + 1) // 2)
 
 
 def profile_int(k: int) -> FitProfile:
-    """Moment profile for the intertwining exponent: shifts -k..2k, the
-    coefficient of B_{n+2k-j} bounded by degree j."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    shifts = list(range(-k, 2 * k + 1))
-    bounds = [2 * k - s for s in shifts]
-    return FitProfile(tuple(shifts), tuple(bounds))
+    """Moment profile for the intertwining exponent: the moment rule with
+    no dip, so degree min(k, 2k - s) at shift s.  The paper's looser
+    profile (shifts -k..2k, degree 2k - s) adds only coefficients that
+    every exact fit found zero."""
+    return _moment_profile(k, lambda t: 0)
 
 
 def target_unknowns(target: str, k: int) -> int:
     """``profile_dim(k).unknowns`` or ``profile_int(k).unknowns``, in O(1):
     no profile is built, so any k >= 1 costs the same."""
-    if target == "dim":  # j + 1 for j <= k, then k + 1 - ceil(t / 2) for t = 1..k
-        return (k + 1) * (k + 2) // 2 + k * (k + 1) - (k + 1) ** 2 // 4
-    if target == "int":  # degrees 0..3k, once each
-        return (3 * k + 1) * (3 * k + 2) // 2
-    raise ValueError("target must be 'dim' or 'int', got %r" % (target,))
+    if target not in ("dim", "int"):
+        raise ValueError("target must be 'dim' or 'int', got %r" % (target,))
+    # degrees j + 1 for j = 0..k, then k + 1 - dip(t) for t = 1..k; the dips
+    # of dim sum to floor((k + 1)^2 / 4)
+    dips = (k + 1) ** 2 // 4 if target == "dim" else 0
+    return (k + 1) * (3 * k + 2) // 2 - dips
 
 
 def generic_unknowns(big_n: int, k: int) -> int:
@@ -245,6 +247,12 @@ def _echelon(rows: list, eligible: int, held: int | None) -> tuple:
     pivot columns, rebuilt by CRT and rational reconstruction, reproduce it
     exactly on every eligible row.  A prime whose pivots are fewer or later
     than another prime's is unlucky and skipped; only finitely many are.
+
+    Reconstruction is attempted at each of the first 8 primes in use, then
+    only once their count has grown by a quarter since the last attempt.
+    Each attempt is quadratic in the size of the modulus, so an answer of D
+    digits costs O(log D) attempts, not D, and at most a quarter more
+    primes than it needs.
     """
     m = len(rows[0]) - 1
     best = None  # the pivot columns of the primes in use
@@ -256,15 +264,22 @@ def _echelon(rows: list, eligible: int, held: int | None) -> tuple:
             return None, False
         key = pivots + [m + 1]  # earlier and more pivots compare lower
         if best is None or key < best:
-            best, mod, settled = key, 1, {}
+            # used: the primes in use; tried: how many there were at the last attempt
+            best, mod, settled, used, tried = key, 1, {}, 0, 0
             residues = {c: [0] * r for c in open_cols}
         elif key > best:
             continue
         inv = pow(mod, -1, p)
+        used += 1
+        attempt = used <= 8 or 4 * used >= 5 * tried
+        if attempt:
+            tried = used
         for c, column in open_cols.items():
             if c in settled:
                 continue
             residues[c] = [u + mod * ((x - u) * inv % p) for u, x in zip(residues[c], column)]
+            if not attempt:
+                continue
             coeffs = [_rational(u, mod * p) for u in residues[c]]
             if None in coeffs:
                 continue

@@ -133,10 +133,10 @@ def test_moments_cost_guard_and_force(capsys, monkeypatch):
 
 
 def test_fit_target_guard_and_force(capsys, monkeypatch):
-    # the benchmark's int k = 3 (55 unknowns) passes; the unknowns are counted
-    # without building a profile
-    assert shifted_bell.target_unknowns("int", 3) <= cli.FIT_GUARD
-    for k, unknowns in (("10", 496), ("100000", 45000450001)):
+    # int k = 15 (376 unknowns) passes; the unknowns are counted without
+    # building a profile
+    assert shifted_bell.target_unknowns("int", 15) <= cli.FIT_GUARD
+    for k, unknowns in (("16", 425), ("100000", 15000250001)):
         start = time.perf_counter()
         code, out, err = invoke(capsys, "fit", "--target", "int", "--k", k)
         assert time.perf_counter() - start < 1.0
@@ -274,7 +274,7 @@ _FIT_REFUSAL = "exceeds the fit guard (406; %s); pass --force to override\n" % c
          "(30000000; %s); pass --force to override\n" % cli.EVAL_COST),
         (["aggregate", "--pattern", "ONE", "--n", "100000"], "estimated cost about 10^10.3 exceeds "
          "the aggregate cost guard (20000000; %s); pass --force to override\n" % cli.AGGREGATE_COST),
-        (["fit", "--target", "int", "--k", "10"], "unknowns=496 " + _FIT_REFUSAL),
+        (["fit", "--target", "int", "--k", "16"], "unknowns=425 " + _FIT_REFUSAL),
         (["fit", "--pattern", "ONE", "--profile-degree", "28"], "unknowns=464 " + _FIT_REFUSAL),
         (["fit", "--pattern", "ONE", "--profile-degree", "9" * 4000],
          "unknowns=about 10^7999.7 " + _FIT_REFUSAL),

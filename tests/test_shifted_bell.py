@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -61,8 +62,11 @@ def test_profile_shapes():
     assert d.shifts == (0, 1, 2, 3, 4)
     assert d.degree_bounds == (1, 1, 2, 1, 0)
     i = profile_int(1)
-    assert i.shifts == (-1, 0, 1, 2)
-    assert i.degree_bounds == (3, 2, 1, 0)
+    assert i.shifts == (0, 1, 2)
+    assert i.degree_bounds == (1, 1, 0)
+    i = profile_int(3)
+    assert i.shifts == tuple(range(7))
+    assert i.degree_bounds == (3, 3, 3, 3, 2, 1, 0)
 
 
 def test_target_unknowns_count_the_profiles():
@@ -253,8 +257,18 @@ def _int_rows(samples, profile):
             for n, v in samples]
 
 
-def _target_samples(target, k):
-    profile = (profile_dim if target == "dim" else profile_int)(k)
+def _paper_profile_int(k):
+    """The paper's profile for the k-th intertwining moment: shifts -k..2k,
+    the coefficient of B_{n+s} of degree at most 2k - s.  ``profile_int``
+    drops what is zero in every fit: the negative shifts, and the degrees
+    past k."""
+    shifts = tuple(range(-k, 2 * k + 1))
+    return FitProfile(shifts, tuple(2 * k - s for s in shifts))
+
+
+def _target_samples(target, k, profile=None):
+    if profile is None:
+        profile = (profile_dim if target == "dim" else profile_int)(k)
     pts = default_sample_points(profile)
     moments = (dim_moments_range if target == "dim" else int_moments_range)(k, max(pts))
     return [(n, Fraction(moments[n][k])) for n in pts], profile
@@ -338,12 +352,13 @@ def _primes_from(first):
 
 
 def test_modular_fit_survives_a_prime_that_divides_a_pivot(monkeypatch):
-    # int k = 2 (28 unknowns): 13 divides the 6th leading minor of the
-    # training rows, the pivot Bareiss meets there without row exchanges, but
-    # not their determinant, so another row takes that pivot mod 13; 449
-    # divides the determinant, so mod 449 a column has no pivot, and the
-    # prime after it, with more pivots, replaces it
-    samples, profile = _target_samples("int", 2)
+    # int k = 2 through the paper's profile (28 unknowns): 13 divides the 6th
+    # leading minor of the training rows, the pivot Bareiss meets there
+    # without row exchanges, but not their determinant, so another row takes
+    # that pivot mod 13; 449 divides the determinant, so mod 449 a column has
+    # no pivot, and the prime after it, with more pivots, replaces it
+    samples, profile = _target_samples("int", 2, _paper_profile_int(2))
+    assert profile.unknowns == 28
     m = profile.unknowns
     a = [row[:m] for row in _int_rows(samples, profile)[:m]]
     prev, minors = 1, []
@@ -400,6 +415,61 @@ def test_singular_training_rows_go_to_bareiss():
     for values in ([truth.evaluate(n) for n in pts], [Fraction(2) ** n for n in pts]):
         samples = list(zip(pts, values))
         assert _outcome(samples, profile) == _bareiss_outcome(samples, profile)
+
+
+def test_sharp_int_profile_gives_the_paper_profile_fit():
+    for k in range(1, 8):
+        sharp = fit(*_target_samples("int", k))
+        paper = fit(*_target_samples("int", k, _paper_profile_int(k)))
+        assert sharp.canonical_text() == paper.canonical_text(), k
+        assert sharp.to_dict() == paper.to_dict(), k
+
+
+def test_sharp_int_fits_hold_on_twice_their_sample_range():
+    # the sharp profile rests on the fits, not on a proof, so each fit to
+    # k = 10 must reproduce the exact moments to twice its last sample; the
+    # coefficient of B_{n+2k} is (-5/4)^k
+    last = max(default_sample_points(profile_int(10)))
+    exact = int_moments_range(10, 2 * last)
+    for k in range(1, 11):
+        profile = profile_int(k)
+        pts = default_sample_points(profile)
+        fitted = fit([(n, exact[n][k]) for n in pts], profile)
+        assert fitted.coeffs[-1] == (2 * k, (Fraction(-5, 4) ** k,)), k
+        for n in range(1, 2 * max(pts) + 1):
+            assert fitted.evaluate(n) == exact[n][k], (k, n)
+
+
+def test_top_coefficients_of_the_dim_fits():
+    # the coefficient of B_{n+2k} is (-2)^k
+    for k in range(1, 11):
+        assert fit(*_target_samples("dim", k)).coeffs[-1] == (2 * k, (Fraction(-2) ** k,)), k
+
+
+def test_a_fit_with_a_wide_answer_reconstructs_a_logarithmic_number_of_times(monkeypatch):
+    # w * n * B_n with w = 10^4485, the aggregate of a pattern that weighs
+    # each position w: its 5 unknowns take about a thousand primes, and
+    # reconstruction is attempted O(log) times in their count, not at each
+    w = 10**4485
+    profile = profile_generic(1, 1)
+    samples = [(n, w * n * bell(n)) for n in default_sample_points(profile)]
+    real_primes, real_rational = shifted_bell._primes, shifted_bell._rational
+    primes, calls = [], []
+
+    def counted_primes():
+        for p in real_primes():
+            primes.append(p)
+            yield p
+
+    def counted_rational(u, mod):
+        calls.append(mod)
+        return real_rational(u, mod)
+
+    monkeypatch.setattr(shifted_bell, "_primes", counted_primes)
+    monkeypatch.setattr(shifted_bell, "_rational", counted_rational)
+    assert fit(samples, profile).coeffs == ((0, (0, w)),)
+    assert len(primes) > 900
+    assert len(calls) <= 4 * profile.unknowns * math.log2(len(primes))
 
 
 def test_target_fits_reproduce_the_moments_to_n_120():
