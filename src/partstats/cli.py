@@ -10,9 +10,10 @@ import argparse
 import json
 import math
 import sys
+from itertools import accumulate, islice
 
-from . import asymptotics, recursions, shifted_bell, statistics
-from .exactnum import bell, bell_csv, bell_mod_table, exact_text
+from . import asymptotics, exactnum, recursions, shifted_bell, statistics
+from .exactnum import bell, bell_mod_table, exact_text
 from .partitions import PartitionError, brute_distribution, parse_partition
 from .statistics import StatisticError
 
@@ -131,9 +132,10 @@ def _csv(header: str, rows) -> str:
 
 # ---------------------------------------------------------------------------
 # subcommands. ``run`` binds each ``_cmd_*`` handler once per process, when
-# it builds its parser. Each dim/int function is still looked up on its
-# module at call time, so a wrapper bound onto the module later (perfbench's
-# tracer, a test spy) sees every call.
+# it builds its parser. Each dim/int function, and ``exactnum.bell_table``, is
+# still looked up on its module at call time, when a memo of the block by
+# ``_parser`` misses, so a wrapper bound onto the module later (perfbench's
+# tracer, a test spy) sees every engine run.
 # ---------------------------------------------------------------------------
 
 def _cmd_bell(args) -> None:
@@ -150,7 +152,7 @@ def _cmd_bell(args) -> None:
         text = "n,bell\n" + "".join(map("%d,%d\n".__mod__, enumerate(residues)))
     else:
         _guard(args.max, args.force, ASYM_GUARD, "bell guard", ASYM_COST, "max")
-        text = bell_csv(args.max)
+        text = _bell_csv(args.max)
     _write(args, text)
 
 
@@ -160,13 +162,13 @@ def _cmd_dist(args) -> None:
     if args.brute:
         _guard(args.n, args.force, BRUTE_GUARD, "brute-force guard", _brute_force_cost(args.n), "n")
         try:
-            hist = brute_distribution(args.n, args.target)
+            pairs = sorted(brute_distribution(args.n, args.target).items())
         except ValueError as e:  # a forced n past the recursion limit
             raise CliError(str(e))
     else:
         _guard(args.n, args.force, DP_GUARD, "DP guard", DP_COST, "n")
-        hist = getattr(recursions, args.target + "_distribution")(args.n)
-    _write(args, _csv("value,count", ((v, exact_text(c)) for v, c in sorted(hist.items()))))
+        pairs = _distribution(args.target, args.n)
+    _write(args, _csv("value,count", ((v, exact_text(c)) for v, c in pairs)))
 
 
 def _cmd_moments(args) -> None:
@@ -174,7 +176,7 @@ def _cmd_moments(args) -> None:
         raise CliError("--n and --k must be nonnegative")
     _guard(recursions.moments_cost(args.k, args.n), args.force, MOMENTS_GUARD,
            "moments cost guard", MOMENTS_COST)
-    values = getattr(recursions, args.target + "_moments")(args.k, args.n)
+    values = _moment_rows(args.target, args.k, args.n)[args.n]
     _write(args, _csv("k,moment", enumerate(map(exact_text, values))))
 
 
@@ -200,7 +202,7 @@ def _cmd_aggregate(args) -> None:
 def _fit_target(target: str, k: int) -> shifted_bell.ShiftedBellPolynomial:
     profile = getattr(shifted_bell, "profile_" + target)(k)
     points = shifted_bell.default_sample_points(profile)
-    moments = getattr(recursions, target + "_moments_range")(k, max(points))
+    moments = _moment_rows(target, k, max(points))
     return shifted_bell.fit([(n, moments[n][k]) for n in points], profile)
 
 
@@ -334,7 +336,55 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# ---------------------------------------------------------------------------
+# what a warm process repeats: one process may run many commands (a test
+# session, a benchmark worker). No lock: each entry is immutable and replaced
+# whole, so a race only computes an answer twice.
+# ---------------------------------------------------------------------------
+
 _parser = None  # built by the first run() call; build_parser() makes a new one
+# (target, n) -> the sorted (value, count) pairs of `dist`; keyed by n alone,
+# as every layer's A = 0 row of a run would grow about as n^4
+_dists: dict = {}
+# (target, k) -> the power sums M_0..M_k of n = 0..N, one run to N
+_moments: dict = {}
+# the `bell --max` text so far and its line ends: ends[n + 1] ends B_n's line
+_bell_text = ("n,bell\n", (7,))
+
+
+def _distribution(target: str, n: int) -> list:
+    """The sorted (value, count) pairs of the distribution of ``target`` on [n]."""
+    got = _dists.get((target, n))
+    if got is None:
+        hist = getattr(recursions, target + "_distribution")(n)
+        got = _dists[target, n] = tuple(sorted(hist.items()))
+    return list(got)
+
+
+def _moment_rows(target: str, k: int, n: int) -> list:
+    """The power sums M_0..M_k of ``target`` for n' = 0..n, one list per n'."""
+    got = _moments.get((target, k), ())
+    if not 0 <= n < len(got):  # a negative n reaches the engine, which refuses it
+        rows = getattr(recursions, target + "_moments_range")(k, n)
+        got = _moments[target, k] = tuple(map(tuple, rows))
+    return [list(row) for row in got[: n + 1]]
+
+
+def _bell_csv(nmax: int) -> str:
+    """``bell --max nmax``'s text, a prefix of the one kept: each B_n is
+    formatted once per process (CPython's int-to-str is quadratic in the
+    digits), and the kept text itself is returned at its last line."""
+    global _bell_text
+    text, ends = _bell_text
+    if not 0 <= nmax < len(ends) - 1:  # bell_table refuses a negative nmax
+        start = len(ends) - 1
+        lines = [text]  # the kept text and the new lines in one join, one copy
+        lines += ("%d,%s\n" % (i, exact_text(b))
+                  for i, b in enumerate(exactnum.bell_table(nmax)[start:], start))
+        ends += tuple(islice(accumulate(map(len, lines)), 1, None))
+        text = "".join(lines)
+        _bell_text = text, ends
+    return text[: ends[nmax + 1]]
 
 
 def run(argv) -> int:

@@ -5,6 +5,8 @@ integer arithmetic and ``fractions.Fraction`` is used for rationals
 throughout the package.  ``exact_text`` is the one formatter of computed
 numbers: it prints them at any size and never touches CPython's
 process-wide int-to-str digit limit, which keeps guarding input parsing.
+The shared Bell table holds numbers only; a caller that prints B_n again
+and again keeps its text, as the CLI keeps the text of ``bell --max``.
 """
 
 from __future__ import annotations
@@ -62,15 +64,13 @@ class BellTable:
     B_{n+1} = sum_k C(n,k) B_k; a table instance only ever grows.
     Extension is guarded by a lock so a shared table is safe to grow
     from multiple threads; reads of already-computed entries are free.
-    The decimal text of each B_n is made at most once, on demand, and kept
-    in one CSV text; see ``csv``.
+    The table holds numbers only: B_0..B_max, the latest triangle row and
+    the rent of ``mod_table``, whose growth needs the frontier and the lock.
     """
 
     def __init__(self) -> None:
         self._values = [1, 1]  # B_0, B_1
         self._row = [1]  # latest triangle row; last entry is B_1
-        self._csv = "n,bell\n"  # header, then "n,B_n" lines for n < len(_ends) - 1
-        self._ends = [len(self._csv)]  # _ends[n + 1] is the end of the line of B_n
         self._rent = (1, 0)  # (frontier, residue work done past it), see mod_table
         self._lock = threading.Lock()
 
@@ -152,30 +152,6 @@ class BellTable:
                 values.append(row[-1] % m)
         return values
 
-    def csv(self, nmax: int) -> str:
-        """The text ``n,bell`` then one ``n,B_n`` line for n = 0..nmax, each
-        line ending in a newline.  Each B_n is formatted once per table by
-        ``exact_text`` (CPython's int-to-str is quadratic in the digits) and
-        kept in one CSV text, of which this is a prefix: the text itself
-        when nmax is the largest n formatted so far."""
-        if nmax < 0:
-            raise ValueError("nmax must be nonnegative")
-        self.extend(nmax)  # before the lock, which is not re-entrant
-        with self._lock:
-            ends = self._ends
-            if len(ends) <= nmax + 1:
-                start = len(ends) - 1
-                # the held text and the new lines in one join, so the text
-                # is built in one copy beside the lines; the text and its
-                # offsets change together, once nothing more can fail
-                lines = [self._csv]
-                lines += ("%d,%s\n" % (i, exact_text(b))
-                          for i, b in enumerate(self._values[start: nmax + 1], start))
-                stops = list(islice(accumulate(map(len, lines)), 1, None))
-                self._csv = "".join(lines)
-                ends += stops
-            return self._csv[: ends[nmax + 1]]
-
     def values(self, nmax: int) -> list[int]:
         """B_0..B_nmax, read at once."""
         if nmax < 0:
@@ -225,11 +201,6 @@ def bell_table(nmax: int) -> list[int]:
 def bell_mod_table(nmax: int, m: int) -> list[int]:
     """B_0..B_nmax reduced mod m; see ``BellTable.mod_table``."""
     return _BELL.mod_table(nmax, m)
-
-
-def bell_csv(nmax: int) -> str:
-    """``bell --max nmax``'s CSV text of B_0..B_nmax; see ``BellTable.csv``."""
-    return _BELL.csv(nmax)
 
 
 def bell_mod(n: int, m: int) -> int:

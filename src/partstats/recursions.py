@@ -5,10 +5,9 @@ closed); the open-block count A is the extra DP state that makes a
 layer at n derivable from the layer at n-1.  The A=0 slice of a layer
 is the honest distribution over ordinary set partitions.
 
-One pruned moments run to N is exact for every n <= N, so each (target, k)
-keeps its run for the life of the process and answers every n it covers.
-Each distribution is kept for the process too, keyed by its own n: the
-A=0 rows of every layer would grow about as n^4.
+The module keeps no state: each front end runs the DP once per call.  One
+pruned moments run to N is exact for every n <= N; a caller that repeats
+requests keeps what it needs, as the CLI does.
 """
 
 from __future__ import annotations
@@ -123,36 +122,14 @@ def _cells(target: str, n: int, table: bool) -> dict:
     return {(a, b): c for a, row in enumerate(rows) for b, c in unpack(row, size).items()}
 
 
-# (target, n) -> the A = 0 row of layer n as (value, count) pairs.  Keyed by
-# n alone: keeping every layer's row would grow about as n^4.  No lock:
-# entries are immutable and set by one dict assignment, so a race only
-# computes an answer twice.  The front ends hand out fresh dicts.
-_DISTS: dict = {}
-
-
 def _distribution(target: str, n: int) -> dict:
-    """Counts of ordinary partitions of [n] by weight, running the DP on a miss."""
-    got = _DISTS.get((target, n))
-    if got is None:
-        got = _DISTS[target, n] = tuple((b, c) for (_, b), c in _cells(target, n, False).items())
-    return dict(got)
+    """Counts of ordinary partitions of [n] by weight: the A = 0 row of layer n."""
+    return {b: c for (_, b), c in _cells(target, n, False).items()}
 
 
-# (target, kmax) -> the rows M_0..M_kmax of n = 0..N of one run to N.  No
-# lock: entries are immutable and replaced by one dict assignment, so a race
-# only computes a range twice.  The front ends hand out fresh lists.
-_MOMENTS: dict = {}
-
-
-def _moments(target: str, kmax: int, nmax: int) -> tuple:
-    """The power-sum rows of n = 0..N for some N >= nmax, running the DP on a miss."""
-    if nmax < 0 or kmax < 0:
-        raise ValueError("n and kmax must be nonnegative")
-    got = _MOMENTS.get((target, kmax), ())
-    if len(got) <= nmax:
-        got = tuple(tuple(rows[0]) for rows in _layers(target, nmax, False, kmax))
-        _MOMENTS[target, kmax] = got
-    return got
+def _moments(target: str, kmax: int, nmax: int) -> list:
+    """The power sums M_0..M_kmax of n = 0..nmax, from one pruned run to nmax."""
+    return [rows[0] for rows in _layers(target, nmax, False, kmax)]
 
 
 # ---------------------------------------------------------------------------
@@ -171,12 +148,12 @@ def dim_distribution(n: int) -> dict:
 
 def dim_moments_range(kmax: int, nmax: int) -> list:
     """[M(d^0;n)..M(d^kmax;n)] for every n in 0..nmax, all exact integers."""
-    return [list(row) for row in _moments("dim", kmax, nmax)[:nmax + 1]]
+    return _moments("dim", kmax, nmax)
 
 
 def dim_moments(kmax: int, n: int) -> list:
     """Exact M(d^k; n) for k = 0..kmax."""
-    return list(_moments("dim", kmax, n)[n])
+    return _moments("dim", kmax, n)[n]
 
 
 def int_table(n: int) -> dict:
@@ -191,12 +168,12 @@ def int_distribution(n: int) -> dict:
 
 def int_moments_range(kmax: int, nmax: int) -> list:
     """[M(i^0;n)..M(i^kmax;n)] for n = 0..nmax, all exact integers."""
-    return [list(row) for row in _moments("int", kmax, nmax)[:nmax + 1]]
+    return _moments("int", kmax, nmax)
 
 
 def int_moments(kmax: int, n: int) -> list:
     """Exact M(i^k; n) for k = 0..kmax."""
-    return list(_moments("int", kmax, n)[n])
+    return _moments("int", kmax, n)[n]
 
 
 def moments_cost(kmax: int, n: int) -> int:

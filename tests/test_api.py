@@ -1,6 +1,9 @@
 """The package's public surface: what ``from partstats import *`` provides and
 how its functions treat sizes that no partition has."""
 
+import ast
+import pathlib
+import sys
 import types
 
 import pytest
@@ -46,3 +49,20 @@ def test_all_lists_every_public_name_once():
 def test_negative_sizes_raise(call):
     with pytest.raises(ValueError):
         call()
+
+
+def test_runtime_imports_are_stdlib_only():
+    # partstats has no runtime dependency: every absolute import in its
+    # sources names a standard-library module (numpy and sympy serve tests only)
+    sources = sorted(pathlib.Path(partstats.__file__).parent.glob("*.py"))
+    assert sources
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in sys.stdlib_module_names, (path.name, name)

@@ -8,9 +8,9 @@ from itertools import accumulate
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from partstats import exactnum
-from partstats.exactnum import (BellTable, bell, bell_csv, bell_mod, bell_mod_table, bell_table,
-                                exact_text, stirling2, unpack)
+from partstats import cli, exactnum
+from partstats.exactnum import (BellTable, bell, bell_mod, bell_mod_table, bell_table, exact_text,
+                                stirling2, unpack)
 
 BELL_SMALL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975]
 
@@ -222,6 +222,11 @@ def _csv_of(values):
     return "n,bell\n" + "".join("%d,%d\n" % row for row in enumerate(values))
 
 
+# The CLI keeps the text that `bell --max` prints (cli._bell_csv); the table
+# holds numbers only.  These tests start each text from the header.
+_NO_TEXT = ("n,bell\n", (7,))
+
+
 def test_text_formats_each_value_once(monkeypatch):
     formatted = []
 
@@ -229,22 +234,23 @@ def test_text_formats_each_value_once(monkeypatch):
         formatted.append(x)
         return exact_text(x)
 
-    monkeypatch.setattr(exactnum, "exact_text", spy)
-    table = BellTable()
-    assert table.csv(0) == "n,bell\n0,1\n" and table.csv(10) == _csv_of(BELL_SMALL)
-    first, again = table.csv(40), table.csv(60)
+    monkeypatch.setattr(cli, "exact_text", spy)
+    monkeypatch.setattr(cli, "_bell_text", _NO_TEXT)
+    csv = cli._bell_csv
+    assert csv(0) == "n,bell\n0,1\n" and csv(10) == _csv_of(BELL_SMALL)
+    first, again = csv(40), csv(60)
     assert first == _csv_of(bell(n) for n in range(41)) and again.startswith(first)
-    assert table.csv(60) is again  # the held text itself at its frontier
-    assert table.csv(7) == _csv_of(BELL_SMALL[:8])
+    assert csv(60) is again  # the kept text itself at its last line
+    assert csv(7) == _csv_of(BELL_SMALL[:8])
     assert formatted == [bell(n) for n in range(61)]  # each once, in order
-    assert bell_csv(5) == "n,bell\n0,1\n1,1\n2,2\n3,5\n4,15\n5,52\n"
+    assert csv(5) == "n,bell\n0,1\n1,1\n2,2\n3,5\n4,15\n5,52\n"
     with pytest.raises(ValueError):
-        table.csv(-1)
+        csv(-1)
 
 
-def test_text_reads_are_consistent_while_the_table_grows():
+def test_text_reads_are_consistent_while_the_table_grows(monkeypatch):
     # one thread grows a fresh table row by row while two others read CSV
-    # text at rising sizes, each extending the table and its text; every read
+    # text at rising sizes, each extending the table and the text; every read
     # must equal the CSV of the exact values, with no line lost or repeated
     nmax = 300
     expected = _csv_of(bell(n) for n in range(nmax + 1))
@@ -257,31 +263,33 @@ def test_text_reads_are_consistent_while_the_table_grows():
     try:
         for _ in range(6):
             table = BellTable()
+            monkeypatch.setattr(exactnum, "_BELL", table)
+            monkeypatch.setattr(cli, "_bell_text", _NO_TEXT)
             grower = threading.Thread(target=lambda: [table.extend(n) for n in range(2, nmax + 1)])
-            readers = [threading.Thread(target=lambda: results.extend((k, table.csv(k)) for k in sizes))
+            readers = [threading.Thread(target=lambda: results.extend((k, cli._bell_csv(k)) for k in sizes))
                        for _ in range(2)]
             for th in [grower] + readers:
                 th.start()
             for th in [grower] + readers:
                 th.join(timeout=60)
             assert not any(th.is_alive() for th in [grower] + readers)
-            assert table.csv(nmax) == expected
+            assert cli._bell_csv(nmax) == expected
     finally:
         sys.setswitchinterval(interval)
     assert len(results) == 12 * len(sizes)
     assert all(text == expected[: stops[k + 1]] for k, text in results)
 
 
-def test_text_grows_in_one_join():
+def test_text_grows_in_one_join(monkeypatch):
     # extending the text from B_600 to B_1200 holds the new lines beside the
     # text joined from them, 1.83 times the text's bytes; joining the new
-    # lines apart and then appending them to the held text peaks at 2.59
-    table = BellTable()
-    table.extend(1200)
-    table.csv(600)
+    # lines apart and then appending them to the kept text peaks at 2.59
+    monkeypatch.setattr(cli, "_bell_text", _NO_TEXT)
+    bell_table(1200)
+    cli._bell_csv(600)
     tracemalloc.start()
     try:
-        text = table.csv(1200)
+        text = cli._bell_csv(1200)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -1,12 +1,13 @@
 import sys
 import threading
+from functools import partial
 from math import comb
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from partstats import recursions
+from partstats import cli, recursions
 from partstats.exactnum import bell
 from partstats.partitions import enumerate_partitions, marked_enumerate
 from partstats.recursions import (
@@ -16,7 +17,6 @@ from partstats.recursions import (
     dim_table,
     int_distribution,
     int_moments,
-    int_moments_range,
     int_table,
     marked_dimension,
     marked_intertwining,
@@ -165,24 +165,35 @@ def _spy_on_layers(monkeypatch) -> list:
 
 
 def test_each_front_end_runs_the_engine_once(monkeypatch):
-    # empty memos, so that earlier tests cannot answer dim_distribution or
-    # int_moments
-    monkeypatch.setattr(recursions, "_DISTS", {})
-    monkeypatch.setattr(recursions, "_MOMENTS", {})
+    # the module keeps nothing, so a repeated call runs the engine again
     calls = _spy_on_layers(monkeypatch)
     for run in (lambda: dim_distribution(12), lambda: int_table(9), lambda: int_moments(3, 9)):
-        calls.clear()
-        run()
-        assert len(calls) == 1
+        for _ in range(2):
+            calls.clear()
+            run()
+            assert len(calls) == 1
 
+
+# The CLI keeps the answers a warm process repeats (cli._dists, cli._moments);
+# the tests below check those memos against the engine.
 
 def _oracle(target, k, n):
-    """M_0..M_k for n' = 0..n from one run of the engine, bypassing the memo."""
+    """M_0..M_k for n' = 0..n from one run of the engine."""
     return [rows[0] for rows in recursions._layers(target, n, False, k)]
 
 
-_FRONT_ENDS = {("dim", False): dim_moments, ("dim", True): dim_moments_range,
-               ("int", False): int_moments, ("int", True): int_moments_range}
+def _rows(target):
+    """What `fit --target` reads: the rows of n' = 0..n."""
+    return lambda k, n: cli._moment_rows(target, k, n)
+
+
+def _row(target):
+    """What `moments` reads: the row of n."""
+    return lambda k, n: cli._moment_rows(target, k, n)[n]
+
+
+_FRONT_ENDS = {("dim", False): _row("dim"), ("dim", True): _rows("dim"),
+               ("int", False): _row("int"), ("int", True): _rows("int")}
 
 
 def _expected(target, whole, k, n):
@@ -192,9 +203,11 @@ def _expected(target, whole, k, n):
 
 
 def test_moments_memo_reuses_one_run(monkeypatch):
-    monkeypatch.setattr(recursions, "_MOMENTS", {})
+    monkeypatch.setattr(cli, "_moments", {})
     want = {key: _oracle(*key) for key in (("dim", 2, 12), ("dim", 3, 5), ("int", 2, 5))}
     calls = _spy_on_layers(monkeypatch)
+    dim_row, dim_rows = _FRONT_ENDS["dim", False], _FRONT_ENDS["dim", True]
+    int_row, int_rows = _FRONT_ENDS["int", False], _FRONT_ENDS["int", True]
 
     def runs(*requests):
         calls.clear()
@@ -202,29 +215,28 @@ def test_moments_memo_reuses_one_run(monkeypatch):
             front_end(k, n)
         return len(calls)
 
-    assert runs((dim_moments, 2, 9)) == 1
-    assert runs((dim_moments, 2, 9), (dim_moments, 2, 4), (dim_moments_range, 2, 9),
-                (dim_moments_range, 2, 0)) == 0
-    assert runs((dim_moments_range, 2, 12)) == 1
-    assert runs((dim_moments, 2, 12), (dim_moments, 2, 10)) == 0
-    assert runs((dim_moments, 3, 5)) == 1
-    assert runs((int_moments, 2, 5)) == 1
-    assert runs((dim_moments, 3, 5), (int_moments_range, 2, 5)) == 0
+    assert runs((dim_row, 2, 9)) == 1
+    assert runs((dim_row, 2, 9), (dim_row, 2, 4), (dim_rows, 2, 9), (dim_rows, 2, 0)) == 0
+    assert runs((dim_rows, 2, 12)) == 1
+    assert runs((dim_row, 2, 12), (dim_row, 2, 10)) == 0
+    assert runs((dim_row, 3, 5)) == 1
+    assert runs((int_row, 2, 5)) == 1
+    assert runs((dim_row, 3, 5), (int_rows, 2, 5)) == 0
 
     # results are the caller's to change
-    row, rows = dim_moments(2, 9), dim_moments_range(2, 9)
+    row, rows = dim_row(2, 9), dim_rows(2, 9)
     row[0] = -1
     row.append(7)
     rows[3][1] = -1
     rows[0].clear()
     rows.pop()
-    assert dim_moments(2, 9) == want["dim", 2, 12][9]
-    assert dim_moments_range(2, 9) == want["dim", 2, 12][:10]
-    assert dim_moments(3, 5) == want["dim", 3, 5][5] and int_moments(2, 5) == want["int", 2, 5][5]
+    assert dim_row(2, 9) == want["dim", 2, 12][9]
+    assert dim_rows(2, 9) == want["dim", 2, 12][:10]
+    assert dim_row(3, 5) == want["dim", 3, 5][5] and int_row(2, 5) == want["int", 2, 5][5]
 
     # a warm memo still refuses negative sizes
-    for call in (lambda: dim_moments(2, -1), lambda: dim_moments_range(2, -1),
-                 lambda: dim_moments_range(-1, 3), lambda: int_moments(-1, 3)):
+    for call in (lambda: dim_row(2, -1), lambda: dim_rows(2, -1),
+                 lambda: dim_rows(-1, 3), lambda: int_row(-1, 3)):
         with pytest.raises(ValueError):
             call()
     assert runs() == 0
@@ -241,14 +253,14 @@ _REQUESTS = st.lists(
 def test_moments_memo_matches_the_engine(requests):
     # each sequence runs forwards and then backwards, so that every n both
     # rises past what the memo holds and falls within it
-    with mock.patch.object(recursions, "_MOMENTS", {}):
+    with mock.patch.object(cli, "_moments", {}):
         for target, whole, k, n in requests + requests[::-1]:
             assert _FRONT_ENDS[target, whole](k, n) == _expected(target, whole, k, n)
 
 
 def _in_four_threads(memo, orders, call, want):
     """Run ``call`` on each request of ``orders[t]`` in thread t, on an empty
-    ``memo``, and check every result against ``want[request]``."""
+    CLI ``memo``, and check every result against ``want[request]``."""
     barrier = threading.Barrier(4)
     results = [None] * 4
 
@@ -260,7 +272,7 @@ def _in_four_threads(memo, orders, call, want):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        with mock.patch.object(recursions, memo, {}):
+        with mock.patch.object(cli, memo, {}):
             for th in threads:
                 th.start()
             for th in threads:
@@ -281,19 +293,19 @@ def test_moments_memo_concurrent_calls_agree():
                 for t in ("dim", "int") for whole in (False, True)]
     orders = [requests, requests[::-1], requests[1::2] + requests[::2], requests[::2] + requests[1::2]]
     want = {request: _expected(*request) for request in requests}
-    _in_four_threads("_MOMENTS", orders, lambda r: _FRONT_ENDS[r[:2]](*r[2:]), want)
+    _in_four_threads("_moments", orders, lambda r: _FRONT_ENDS[r[:2]](*r[2:]), want)
 
 
 def _dist_oracle(target, n):
-    """The distribution of layer n from one run of the engine, bypassing the memo."""
-    return {b: c for (_, b), c in recursions._cells(target, n, False).items()}
+    """The sorted (value, count) pairs of layer n from one run of the engine."""
+    return sorted((b, c) for (_, b), c in recursions._cells(target, n, False).items())
 
 
-_DISTRIBUTIONS = {"dim": dim_distribution, "int": int_distribution}
+_DISTRIBUTIONS = {target: partial(cli._distribution, target) for target in ("dim", "int")}
 
 
 def test_distribution_memo_reuses_one_answer(monkeypatch):
-    monkeypatch.setattr(recursions, "_DISTS", {})
+    monkeypatch.setattr(cli, "_dists", {})
     want = {key: _dist_oracle(*key) for key in (("dim", 12), ("dim", 9), ("int", 9))}
     calls = _spy_on_layers(monkeypatch)
 
@@ -311,15 +323,15 @@ def test_distribution_memo_reuses_one_answer(monkeypatch):
     assert runs(("int", 9), ("dim", 9), ("dim", 12)) == 0
 
     # results are the caller's to change
-    got = dim_distribution(12)
-    got[0] = -1
-    got[10 ** 6] = 7
-    del got[max(got)]
-    int_distribution(9).clear()
+    got = _DISTRIBUTIONS["dim"](12)
+    got[0] = (-1, -1)
+    got.append((10 ** 6, 7))
+    del got[-2]
+    _DISTRIBUTIONS["int"](9).clear()
     assert runs(("dim", 12), ("int", 9)) == 0
 
     # a warm memo still refuses negative sizes
-    for call in (lambda: dim_distribution(-1), lambda: int_distribution(-1)):
+    for call in (lambda: _DISTRIBUTIONS["dim"](-1), lambda: _DISTRIBUTIONS["int"](-1)):
         with pytest.raises(ValueError):
             call()
     assert runs() == 0
@@ -330,7 +342,7 @@ def test_distribution_memo_reuses_one_answer(monkeypatch):
                 min_size=1, max_size=8))
 def test_distribution_memo_matches_the_engine(requests):
     # each sequence runs twice, so that every request is asked both cold and warm
-    with mock.patch.object(recursions, "_DISTS", {}):
+    with mock.patch.object(cli, "_dists", {}):
         for target, n in requests + requests[::-1]:
             assert _DISTRIBUTIONS[target](n) == _dist_oracle(target, n)
 
@@ -341,4 +353,4 @@ def test_distribution_memo_concurrent_calls_agree():
     requests = [(t, n) for n in (3, 30, 8, 25, 1, 30, 8) for t in ("dim", "int")]
     orders = [requests, requests[::-1], requests[1::2] + requests[::2], requests[::2] + requests[1::2]]
     want = {request: _dist_oracle(*request) for request in requests}
-    _in_four_threads("_DISTS", orders, lambda r: _DISTRIBUTIONS[r[0]](r[1]), want)
+    _in_four_threads("_dists", orders, lambda r: _DISTRIBUTIONS[r[0]](r[1]), want)

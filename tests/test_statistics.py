@@ -109,6 +109,20 @@ def test_crossing_free_counts_are_catalan():
         assert free == catalan[n]
 
 
+@pytest.mark.parametrize("q", [Fraction(2), Fraction(3), Fraction(1, 2)], ids=["2", "3", "1/2"])
+def test_supercharacters_sum_to_the_group_order(q):
+    # the supercharacters of U_n(F_q) are the partitions of [n] with arcs
+    # labelled by F_q^x; lambda's have degree q^dim and norm q^int, so
+    # sum chi(1)^2 / <chi, chi> = |U_n(F_q)| reads
+    # sum (q - 1)^arcs q^(2 dim - int) = q^(n(n-1)/2), arcs = n - blocks
+    dim, inter = builtin("dimension"), builtin("intertwining")
+    for n in range(9):
+        total = sum((q - 1) ** (n - lam.block_count)
+                    * q ** int(2 * dim.evaluate(lam) - inter.evaluate(lam))
+                    for lam in enumerate_partitions(n))
+        assert total == q ** (n * (n - 1) // 2), n
+
+
 # --- weight polynomials ------------------------------------------------------
 
 def test_weight_polynomial_arithmetic():
