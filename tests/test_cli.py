@@ -669,6 +669,32 @@ def test_user_errors_exit_one(argv, tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_internal_errors_exit_two(capsys, monkeypatch):
+    def boom(nmax):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "_bell_text", ("n,bell\n", (7,)))  # nothing kept: the table is read
+    monkeypatch.setattr(exactnum, "bell_table", boom)
+    assert invoke(capsys, "bell", "--max", "3") == (2, "", "internal error: boom\n")
+
+
+def test_a_closed_stdout_exits_zero_in_silence(capsys, monkeypatch):
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert run(["bell", "--max", "3"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_module_entry_point_exits_zero():
+    src = os.path.dirname(os.path.dirname(partstats.__file__))
+    done = subprocess.run([sys.executable, "-m", "partstats.cli", "bell", "--max", "3"],
+                          capture_output=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, b"n,bell\n0,1\n1,1\n2,2\n3,5\n", b"")
+
+
 def test_invalid_int_message(capsys):
     assert invoke(capsys, "bell", "--max", "abc") == (
         1, "", "error: argument --max: invalid int value: 'abc'\n")

@@ -1,17 +1,22 @@
 import json
 import math
+import operator
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from partstats.exactnum import bell, stirling2
 from partstats.partitions import enumerate_partitions, parse_partition
 from partstats.statistics import (
+    MAX_WEIGHT_DEGREE,
+    MAX_WEIGHT_MONOMIALS,
     Pattern,
     StatisticError,
     Statistic,
     WeightPolynomial,
+    _parse_q,
     aggregate,
     builtin,
     merge_product,
@@ -167,6 +172,124 @@ def test_weight_polynomial_rationals():
     assert (q * y).evaluate((6,), 1) == 2
 
 
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul], ids=["+", "-", "*"])
+def test_weights_of_different_arity_do_not_combine(op):
+    y2, m = WeightPolynomial.variable(2, 2), WeightPolynomial.ground_size(1)
+    for a, b in [(y2, m), (m, y2), (y2, WeightPolynomial.variable(1, 1))]:
+        with pytest.raises(StatisticError) as e:
+            op(a, b)
+        assert str(e.value) == "weights of arity k=%d and k=%d do not combine" % (a.k, b.k)
+
+
+def test_weight_evaluation_takes_one_value_per_variable():
+    y2 = WeightPolynomial.variable(2, 2)
+    for xs in [(5,), (5, 7, 9)]:
+        with pytest.raises(StatisticError) as e:
+            y2.evaluate(xs, 1)
+        assert str(e.value) == "weight of arity k=2 needs k values, not %d" % len(xs)
+    assert y2.evaluate((5, 7), 1) == 7
+
+
+def test_algebra_results_do_not_re_enter_the_checked_constructor(monkeypatch):
+    d = builtin("dimension")
+    q = WeightPolynomial.variable(2, 1) + WeightPolynomial.ground_size(2).scaled(Fraction(1, 2))
+    checked = []
+    init = WeightPolynomial.__init__
+
+    def counted(self, k, terms):
+        checked.append(k)
+        init(self, k, terms)
+
+    monkeypatch.setattr(WeightPolynomial, "__init__", counted)
+    assert (q + q - q * q).scaled(3).relabeled((1, 3), 3).k == 3
+    assert len((d * d).terms) > len(d.terms)
+    assert checked == []
+    q ** 5  # a power starts from the constant 1, one checked call
+    assert checked == [2]
+
+
+# An oracle for the weight algebra that shares no code with it: random
+# expression trees, rendered fully parenthesised as DSL text and evaluated
+# directly in Fractions.
+
+def _render(t) -> str:
+    op = t[0]
+    if op in ("num", "y", "m"):
+        return t[1]
+    if op == "neg":
+        return "(-%s)" % _render(t[1])
+    if op == "^":
+        return "((%s)^%d)" % (_render(t[1]), t[2])
+    return "(%s %s %s)" % (_render(t[1]), op, _render(t[2]))
+
+
+def _value(t, xs, n) -> Fraction:
+    op = t[0]
+    if op == "num":
+        return t[2]
+    if op == "y":
+        return Fraction(xs[t[2] - 1])
+    if op == "m":
+        return Fraction(n)
+    if op == "neg":
+        return -_value(t[1], xs, n)
+    if op == "^":
+        return _value(t[1], xs, n) ** t[2]
+    a, b = _value(t[1], xs, n), _value(t[2], xs, n)
+    return a + b if op == "+" else a - b if op == "-" else a * b
+
+
+def _bounds(t) -> tuple:
+    """Upper bounds on the degree and the monomial count of ``t``, and
+    whether every product and power on the way stays under the DSL caps."""
+    op = t[0]
+    if op == "num":
+        return 0, 1, True
+    if op in ("y", "m"):
+        return 1, 1, True
+    if op == "neg":
+        return _bounds(t[1])
+    if op == "^":
+        d, c, ok = _bounds(t[1])
+        d, c = d * t[2], math.comb(c + t[2] - 1, t[2])
+    else:
+        (d1, c1, ok1), (d2, c2, ok2) = _bounds(t[1]), _bounds(t[2])
+        ok = ok1 and ok2
+        d, c = (max(d1, d2), c1 + c2) if op in "+-" else (d1 + d2, c1 * c2)
+    return d, c, ok and d <= MAX_WEIGHT_DEGREE and c <= MAX_WEIGHT_MONOMIALS
+
+
+@st.composite
+def weight_trees(draw):
+    k = draw(st.integers(min_value=1, max_value=4))
+    naturals = st.integers(min_value=0, max_value=9)
+    leaves = st.one_of(
+        naturals.map(lambda v: ("num", str(v), Fraction(v))),
+        st.tuples(naturals, st.integers(min_value=1, max_value=9)).map(
+            lambda ab: ("num", "%d/%d" % ab, Fraction(*ab))),
+        st.integers(min_value=1, max_value=k).map(lambda i: ("y", "y%d" % i, i)),
+        st.just(("m", "m")),
+    )
+    tree = draw(st.recursive(leaves, lambda sub: st.one_of(
+        st.tuples(st.sampled_from("+-*"), sub, sub),
+        sub.map(lambda t: ("neg", t)),
+        st.tuples(st.just("^"), sub, st.integers(min_value=0, max_value=3)),
+    ), max_leaves=12))
+    assume(_bounds(tree)[2])
+    return k, tree
+
+
+@settings(max_examples=200, deadline=None)
+@given(weight_trees(), st.data())
+def test_weight_algebra_matches_an_independent_oracle(kt, data):
+    k, tree = kt
+    q = _parse_q(_render(tree), k)
+    for _ in range(3):
+        xs = data.draw(st.lists(st.integers(-9, 9), min_size=k, max_size=k))
+        n = data.draw(st.integers(0, 12))
+        assert q.evaluate(tuple(xs), n) == _value(tree, xs, n)
+
+
 # --- one weight per pattern -------------------------------------------------
 
 def test_equal_patterns_collapse_to_one_term():
@@ -292,6 +415,13 @@ def test_dsl_rejects_bad_documents():
     ]:
         with pytest.raises(StatisticError):
             parse_pattern(json.dumps(doc))
+
+
+def test_trailing_space_is_read_in_one_pass():
+    # a tokenizer that searched again from each space would take minutes here
+    start = time.perf_counter()
+    assert _parse_q("y1" + " " * 100_000, 1) == WeightPolynomial.variable(1, 1)
+    assert time.perf_counter() - start < 2
 
 
 @pytest.mark.parametrize("k", [2.7, True, "x", "2", None])
