@@ -68,7 +68,7 @@ def test_negative_sizes_raise(call):
         call()
 
 
-# Each library refusal with its whole message: the call's text (the test id),
+# Each library refusal with its whole message: a short name (the test id),
 # the call, the error's type and its text.
 REFUSALS = [
     ("WeightPolynomial(1, {(1,): 1})", lambda: WeightPolynomial(1, {(1,): 1}),
