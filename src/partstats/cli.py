@@ -10,7 +10,6 @@ import argparse
 import json
 import math
 import sys
-from itertools import accumulate, islice
 
 from . import asymptotics, exactnum, recursions, shifted_bell, statistics
 from .exactnum import bell, bell_mod_table, exact_text
@@ -352,22 +351,22 @@ _moments: dict = {}
 _bell_text = ("n,bell\n", (7,))
 
 
-def _distribution(target: str, n: int) -> list:
+def _distribution(target: str, n: int) -> tuple:
     """The sorted (value, count) pairs of the distribution of ``target`` on [n]."""
     got = _dists.get((target, n))
     if got is None:
         hist = getattr(recursions, target + "_distribution")(n)
         got = _dists[target, n] = tuple(sorted(hist.items()))
-    return list(got)
+    return got
 
 
-def _moment_rows(target: str, k: int, n: int) -> list:
-    """The power sums M_0..M_k of ``target`` for n' = 0..n, one list per n'."""
+def _moment_rows(target: str, k: int, n: int) -> tuple:
+    """The power sums M_0..M_k of ``target`` for n' = 0..n, one tuple per n'."""
     got = _moments.get((target, k), ())
     if not 0 <= n < len(got):  # a negative n reaches the engine, which refuses it
         rows = getattr(recursions, target + "_moments_range")(k, n)
         got = _moments[target, k] = tuple(map(tuple, rows))
-    return [list(row) for row in got[: n + 1]]
+    return got[: n + 1]
 
 
 def _bell_csv(nmax: int) -> str:
@@ -377,13 +376,13 @@ def _bell_csv(nmax: int) -> str:
     global _bell_text
     text, ends = _bell_text
     if not 0 <= nmax < len(ends) - 1:  # bell_table refuses a negative nmax
+        ends = list(ends)
         start = len(ends) - 1
-        lines = [text]  # the kept text and the new lines in one join, one copy
-        lines += ("%d,%s\n" % (i, exact_text(b))
-                  for i, b in enumerate(exactnum.bell_table(nmax)[start:], start))
-        ends += tuple(islice(accumulate(map(len, lines)), 1, None))
-        text = "".join(lines)
-        _bell_text = text, ends
+        # after the first append (a copy) the local is the only reference: CPython grows it in place
+        for i, b in enumerate(exactnum.bell_table(nmax)[start:], start):
+            text += "%d,%s\n" % (i, exact_text(b))
+            ends.append(len(text))
+        _bell_text = text, tuple(ends)
     return text[: ends[nmax + 1]]
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb, lcm, log10, prod
-from operator import add
+from operator import add, index
 from typing import Iterable, Mapping
 
 from .partitions import SetPartition, canonical_rgs
@@ -106,8 +106,12 @@ class WeightPolynomial:
         return self._collect(self.k, ((mono, c * v) for mono, v in self.terms))
 
     def __pow__(self, e: int) -> "WeightPolynomial":
+        e = index(e)
         if e < 0:
             raise StatisticError("negative exponent")
+        if e and len(self.terms) <= 1:  # zero, a constant or one monomial: one step
+            return self._collect(self.k, ((tuple(x * e for x in mono), c ** e)
+                                          for mono, c in self.terms))
         power = WeightPolynomial.constant(self.k, 1)
         for _ in range(e):
             power = power * self
@@ -641,12 +645,23 @@ def _merges(p1: Pattern, p2: Pattern):
 # builtin statistics
 # ---------------------------------------------------------------------------
 
+# Each builtin's own parameter, if it takes one.
+_BUILTIN_PARAMS = {"blocks": None, "blocks_choose": "k", "blocks_of_size": "i", "crossings_k": "k",
+                   "nestings": None, "dimension": None, "intertwining": None, "levels": None,
+                   "firsts_sum": None, "lasts_sum": None}
+
+
 def builtin(name: str, **params) -> Statistic:
     """Named statistics from the standard catalogue.
 
     blocks, blocks_choose(k), blocks_of_size(i), crossings_k(k),
     nestings, dimension, intertwining, levels, firsts_sum, lasts_sum.
     """
+    if not isinstance(name, str) or name not in _BUILTIN_PARAMS:
+        raise StatisticError("unknown builtin statistic %r" % (name,))
+    other = sorted(params.keys() - {_BUILTIN_PARAMS[name]})
+    if other:
+        raise StatisticError("builtin %r takes no parameter %r" % (name, other[0]))
     if name == "blocks":
         p = Pattern.make(1, [0], firsts=[1])
         return Statistic([(p, WeightPolynomial.constant(1, 1))])
@@ -684,7 +699,6 @@ def builtin(name: str, **params) -> Statistic:
         return (
             builtin("lasts_sum") - builtin("firsts_sum") + builtin("blocks") - ground
         )
-    raise StatisticError("unknown builtin statistic %r" % name)
 
 
 def _nat_param(params: dict, key: str, minimum: int = 0) -> int:

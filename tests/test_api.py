@@ -79,6 +79,8 @@ REFUSALS = [
      StatisticError, "equivalence must cover all 2 positions"),
     ("builtin(nope)", lambda: builtin("nope"),
      StatisticError, "unknown builtin statistic 'nope'"),
+    ("builtin([nope])", lambda: builtin(["nope"]),
+     StatisticError, "unknown builtin statistic ['nope']"),
     ("builtin(crossings_k)", lambda: builtin("crossings_k"),
      StatisticError, "builtin needs parameter 'k'"),
     ("builtin(crossings_k, k=0)", lambda: builtin("crossings_k", k=0),

@@ -178,8 +178,8 @@ def test_each_front_end_runs_the_engine_once(monkeypatch):
 # the tests below check those memos against the engine.
 
 def _oracle(target, k, n):
-    """M_0..M_k for n' = 0..n from one run of the engine."""
-    return [rows[0] for rows in recursions._layers(target, n, False, k)]
+    """M_0..M_k for n' = 0..n from one run of the engine, as tuples."""
+    return tuple(tuple(rows[0]) for rows in recursions._layers(target, n, False, k))
 
 
 def _rows(target):
@@ -223,13 +223,19 @@ def test_moments_memo_reuses_one_run(monkeypatch):
     assert runs((int_row, 2, 5)) == 1
     assert runs((dim_row, 3, 5), (int_rows, 2, 5)) == 0
 
-    # results are the caller's to change
+    # results are the kept tuples, which no caller can change
     row, rows = dim_row(2, 9), dim_rows(2, 9)
-    row[0] = -1
-    row.append(7)
-    rows[3][1] = -1
-    rows[0].clear()
-    rows.pop()
+    assert row is dim_row(2, 9) and rows[9] is row
+    with pytest.raises(TypeError):
+        row[0] = -1
+    with pytest.raises(AttributeError):
+        row.append(7)
+    with pytest.raises(TypeError):
+        rows[3][1] = -1
+    with pytest.raises(AttributeError):
+        rows[0].clear()
+    with pytest.raises(AttributeError):
+        rows.pop()
     assert dim_row(2, 9) == want["dim", 2, 12][9]
     assert dim_rows(2, 9) == want["dim", 2, 12][:10]
     assert dim_row(3, 5) == want["dim", 3, 5][5] and int_row(2, 5) == want["int", 2, 5][5]
@@ -298,7 +304,7 @@ def test_moments_memo_concurrent_calls_agree():
 
 def _dist_oracle(target, n):
     """The sorted (value, count) pairs of layer n from one run of the engine."""
-    return sorted((b, c) for (_, b), c in recursions._cells(target, n, False).items())
+    return tuple(sorted((b, c) for (_, b), c in recursions._cells(target, n, False).items()))
 
 
 _DISTRIBUTIONS = {target: partial(cli._distribution, target) for target in ("dim", "int")}
@@ -322,12 +328,17 @@ def test_distribution_memo_reuses_one_answer(monkeypatch):
     assert runs(("int", 9)) == 1
     assert runs(("int", 9), ("dim", 9), ("dim", 12)) == 0
 
-    # results are the caller's to change
+    # results are the kept tuples, which no caller can change
     got = _DISTRIBUTIONS["dim"](12)
-    got[0] = (-1, -1)
-    got.append((10 ** 6, 7))
-    del got[-2]
-    _DISTRIBUTIONS["int"](9).clear()
+    assert got is _DISTRIBUTIONS["dim"](12)
+    with pytest.raises(TypeError):
+        got[0] = (-1, -1)
+    with pytest.raises(AttributeError):
+        got.append((10 ** 6, 7))
+    with pytest.raises(TypeError):
+        del got[-2]
+    with pytest.raises(AttributeError):
+        _DISTRIBUTIONS["int"](9).clear()
     assert runs(("dim", 12), ("int", 9)) == 0
 
     # a warm memo still refuses negative sizes

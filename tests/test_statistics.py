@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from partstats.exactnum import bell, stirling2
+from partstats import statistics
 from partstats.partitions import enumerate_partitions, parse_partition
 from partstats.statistics import (
     MAX_WEIGHT_DEGREE,
@@ -164,6 +165,31 @@ def test_weight_polynomial_power_by_squaring_is_exact(q, e):
     for _ in range(e):
         product = product * q
     assert (q ** e).terms == product.terms
+
+
+def _product_power(q, e):
+    """q ** e as e products from the constant 1."""
+    power = WeightPolynomial.constant(q.k, 1)
+    for _ in range(e):
+        power = power * q
+    return power
+
+
+def test_powers_of_one_term_take_one_step():
+    # a base of at most one term is raised in one step; e products took
+    # 0.052 s at e = 10^4 and would take seconds at e = 10^6
+    y1, m = WeightPolynomial.variable(1, 1), WeightPolynomial.ground_size(1)
+    start = time.perf_counter()
+    power = y1 ** 10 ** 6
+    assert time.perf_counter() - start < 0.1
+    assert power.terms == (((10 ** 6, 0), Fraction(1)),)
+    zero = WeightPolynomial.constant(2, 0)
+    for q, e in [((y1 * m).scaled(3), 4), (WeightPolynomial.constant(2, 5), 7), (zero, 3)]:
+        assert (q ** e).terms == _product_power(q, e).terms
+    for q in [y1, (y1 * m).scaled(3), WeightPolynomial.constant(2, 5), zero, y1 + m]:
+        assert (q ** 0).terms == _product_power(q, 0).terms == WeightPolynomial.constant(q.k, 1).terms
+    with pytest.raises(TypeError):
+        y1 ** 2.0
 
 
 def test_weight_polynomial_rationals():
@@ -428,6 +454,26 @@ def test_trailing_space_is_read_in_one_pass():
 def test_builtin_parameters_must_be_integers(k):
     with pytest.raises(StatisticError, match="must be an integer"):
         builtin("crossings_k", k=k)
+
+
+# every builtin with the parameters it takes
+_BUILTIN_OWN = {"blocks": {}, "blocks_choose": {"k": 2}, "blocks_of_size": {"i": 2},
+                "crossings_k": {"k": 2}, "nestings": {}, "dimension": {}, "intertwining": {},
+                "levels": {}, "firsts_sum": {}, "lasts_sum": {}}
+
+
+@pytest.mark.parametrize("name", sorted(_BUILTIN_OWN))
+def test_builtin_refuses_parameters_it_does_not_take(name):
+    # builtin("intertwining", k=5) returned crossings_k(2), and
+    # builtin("blocks", k=3) blocks
+    own = _BUILTIN_OWN[name]
+    builtin(name, **own)
+    for key in ("k", "i", "n"):
+        if key not in own:
+            with pytest.raises(StatisticError) as e:
+                builtin(name, **own, **{key: 3})
+            assert str(e.value) == "builtin %r takes no parameter %r" % (name, key)
+    assert sorted(_BUILTIN_OWN) == sorted(statistics._BUILTIN_PARAMS)  # the whole catalogue
 
 
 def test_arc_requires_coblocked_positions():
