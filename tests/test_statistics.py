@@ -7,8 +7,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from partstats.exactnum import bell, stirling2
 from partstats import statistics
+from partstats.exactnum import bell, stirling2
 from partstats.partitions import enumerate_partitions, parse_partition
 from partstats.statistics import (
     MAX_WEIGHT_DEGREE,
@@ -148,6 +148,14 @@ def test_weight_polynomial_power_is_repeated_product():
         product = product * q
 
 
+def _product_power(q, e):
+    """q ** e as e products from the constant 1."""
+    power = WeightPolynomial.constant(q.k, 1)
+    for _ in range(e):
+        power = power * q
+    return power
+
+
 @st.composite
 def narrow_weights(draw):
     """Up to 3 terms in y1..yk and m, k <= 3, with exponents <= 2."""
@@ -161,18 +169,7 @@ def narrow_weights(draw):
 @settings(max_examples=60, deadline=None)
 @given(narrow_weights(), st.integers(min_value=0, max_value=16))
 def test_weight_polynomial_power_by_squaring_is_exact(q, e):
-    product = WeightPolynomial.constant(q.k, 1)
-    for _ in range(e):
-        product = product * q
-    assert (q ** e).terms == product.terms
-
-
-def _product_power(q, e):
-    """q ** e as e products from the constant 1."""
-    power = WeightPolynomial.constant(q.k, 1)
-    for _ in range(e):
-        power = power * q
-    return power
+    assert (q ** e).terms == _product_power(q, e).terms
 
 
 def test_powers_of_one_term_take_one_step():
